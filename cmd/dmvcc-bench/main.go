@@ -21,10 +21,11 @@
 // a laptop. The hotpath experiment writes a machine-readable report
 // (-benchjson, default BENCH_hotpath.json) and can fold a previous run in
 // as the before-series (-baseline). -cpuprofile/-memprofile capture pprof
-// profiles of whichever experiment runs. -trace out.json captures a
-// Chrome/Perfetto timeline of a telemetry-instrumented run (hotpath and
-// pipeline experiments) plus the per-block critical path; -obs :6060 serves
-// the live introspection endpoint while the experiments run. The conflicts
+// profiles of whichever experiment runs. -trace out.json arms the scheduler
+// event log and the stage ledger and writes a Chrome/Perfetto timeline of the
+// instrumented run (hotpath and pipeline experiments) plus the per-block
+// critical path; -obs :6060 serves the live introspection endpoint — every
+// per-block view read from that same log — while the experiments run. The conflicts
 // experiment writes BENCH_conflicts.json (-conflictsjson) with per-block
 // post-mortems; -strict re-reads the written report and fails on any
 // unexplained abort or a mispredicted transaction in the deterministic
@@ -33,8 +34,8 @@
 // BENCH_chaos.json (-chaosjson). The statescale experiment sweeps account
 // counts (-scaleaccounts) across the flat, disk-backed, and reference trie
 // backends and writes BENCH_statescale.json (-scalejson). The divergence
-// experiment soaks -divblocks fault-injected blocks with the flight recorder
-// armed (-record is implied; keep it for clarity): the first block whose
+// experiment soaks -divblocks fault-injected blocks with the scheduler event
+// log armed (-record is implied; keep it for clarity): the first block whose
 // committed state diverges from the serial twin is captured as an ordered
 // schedule, audited down to the first divergent transaction, and greedily
 // shrunk to a minimal repro; -replay <capture.json> deterministically forces
@@ -64,6 +65,7 @@ import (
 
 	"dmvcc/internal/bench"
 	"dmvcc/internal/chainsim"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/state"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/workload"
@@ -148,7 +150,7 @@ func main() {
 	divBlocks := flag.Int("divblocks", 40, "fault-injected blocks for the divergence hunt, spread across the hunted classes")
 	divTxs := flag.Int("divtxs", 64, "transactions per block for the divergence hunt")
 	divThreads := flag.Int("divthreads", 8, "scheduler threads for the divergence hunt")
-	record := flag.Bool("record", false, "divergence: arm the flight recorder (implied by -exp divergence without -replay)")
+	record := flag.Bool("record", false, "divergence: arm the scheduler event log (implied by -exp divergence without -replay)")
 	replayPath := flag.String("replay", "", "divergence: deterministically replay this capture file instead of hunting")
 	divJSON := flag.String("divjson", "BENCH_divergence.json", "output path for the divergence run report (capture/repro artifacts land in its directory)")
 	backendName := flag.String("backend", "trie", "state backend for the workload experiments: trie|flat|disk")
@@ -171,20 +173,28 @@ func main() {
 	obsAddr := flag.String("obs", "", "serve the live introspection endpoint (pprof, expvar, /metrics, /telemetry) on this address, e.g. :6060")
 	flag.Parse()
 
-	var tracer *telemetry.Tracer
+	// -trace and -obs arm the one scheduler event log plus a stage ledger
+	// (the trace's pipeline tracks); everything they show is read from those.
+	var events *eventlog.Log
+	var ledger *telemetry.StageLedger
 	var metrics *telemetry.Registry
-	var forensics *telemetry.Forensics
-	if *tracePath != "" || *obsAddr != "" {
-		tracer = telemetry.NewTracer()
-		tracer.Enable()
-		metrics = telemetry.NewRegistry()
-	}
 	divStore := telemetry.NewDivergenceStore()
 	var timeline *telemetry.Timeline
 	if *obsAddr != "" {
-		forensics = telemetry.NewForensics()
 		timeline = telemetry.NewTimeline(0)
-		addr, stop, err := telemetry.Serve(*obsAddr, metrics, tracer, forensics, divStore, timeline)
+		ledger = timeline.Ledger
+	}
+	if *tracePath != "" || *obsAddr != "" {
+		events = eventlog.New()
+		events.Enable()
+		if ledger == nil {
+			ledger = telemetry.NewStageLedger()
+			ledger.Enable()
+		}
+		metrics = telemetry.NewRegistry()
+	}
+	if *obsAddr != "" {
+		addr, stop, err := telemetry.Serve(*obsAddr, metrics, events, divStore, timeline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dmvcc-bench:", err)
 			os.Exit(1)
@@ -229,7 +239,7 @@ func main() {
 		txs: *hotTxs, sizes: hotSizeList, rounds: *hotRounds, jsonPath: *benchJSON, baseline: *baselinePath,
 		check: *hotCheck, speedupTol: *hotSpeedupTol, allocsTol: *hotAllocsTol,
 	}, conflictsArgs{
-		txs: *conflictsTxs, jsonPath: *conflictsJSON, perTx: *conflictsPerTx, strict: *strict, fx: forensics,
+		txs: *conflictsTxs, jsonPath: *conflictsJSON, perTx: *conflictsPerTx, strict: *strict,
 	}, chaosArgs{
 		blocks: *chaosBlocks, txs: *chaosTxs, threads: *chaosThreads, jsonPath: *chaosJSON,
 	}, crashArgs{
@@ -243,10 +253,10 @@ func main() {
 	}, pipelineArgs{
 		blocks: *pipeBlocks, txs: *pipeTxs, threads: *pipeThreads, backend: *pipeBackend,
 		jsonPath: *pipeJSON, timelinePath: *pipeTimelineJSON, timeline: timeline,
-	}, backend, tracer, metrics)
+	}, backend, events, ledger, metrics)
 
 	if err == nil && *tracePath != "" {
-		if werr := writeTrace(*tracePath, tracer); werr != nil {
+		if werr := writeTrace(*tracePath, events, ledger); werr != nil {
 			err = werr
 		} else {
 			fmt.Printf("wrote %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *tracePath)
@@ -288,7 +298,6 @@ type conflictsArgs struct {
 	jsonPath string
 	perTx    bool
 	strict   bool
-	fx       *telemetry.Forensics
 }
 
 // chaosArgs bundles the chaos experiment's flags.
@@ -349,17 +358,21 @@ func checkConflictsReport(path string) error {
 	return rep.Validate()
 }
 
-// writeTrace exports the collected telemetry as Chrome trace-event JSON.
-func writeTrace(path string, tracer *telemetry.Tracer) error {
+// writeTrace exports the event log's retained blocks and the ledger's stage
+// intervals as Chrome trace-event JSON.
+func writeTrace(path string, events *eventlog.Log, ledger *telemetry.StageLedger) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return tracer.Snapshot().ExportChrome(f)
+	if err := telemetry.ExportChrome(f, events, ledger); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func run(exp string, blocks, txs, simTxs, simBlocks, rq1Blocks int, seed int64, hot hotpathArgs, conf conflictsArgs, chaos chaosArgs, crash crashArgs, div divergenceArgs, scale scaleArgs, pipe pipelineArgs, backend func() (state.Backend, error), tracer *telemetry.Tracer, metrics *telemetry.Registry) error {
+func run(exp string, blocks, txs, simTxs, simBlocks, rq1Blocks int, seed int64, hot hotpathArgs, conf conflictsArgs, chaos chaosArgs, crash crashArgs, div divergenceArgs, scale scaleArgs, pipe pipelineArgs, backend func() (state.Backend, error), events *eventlog.Log, ledger *telemetry.StageLedger, metrics *telemetry.Registry) error {
 	low := workload.DefaultConfig()
 	low.TxPerBlock = txs
 	low.Seed = seed
@@ -447,7 +460,7 @@ func run(exp string, blocks, txs, simTxs, simBlocks, rq1Blocks int, seed int64, 
 			fmt.Println("workload: ICO-launch mix (hot commutative counters dominate)")
 
 		case "pipeline":
-			rep, err := bench.MeasurePipelineTraced(bench.SpeedupConfig{Workload: low, Blocks: max(blocks, 3)}, tracer, metrics)
+			rep, err := bench.MeasurePipelineTraced(bench.SpeedupConfig{Workload: low, Blocks: max(blocks, 3)}, events, ledger, metrics)
 			if err != nil {
 				return err
 			}
@@ -522,10 +535,10 @@ func run(exp string, blocks, txs, simTxs, simBlocks, rq1Blocks int, seed int64, 
 				}
 				fmt.Printf("wrote %s\n", hot.jsonPath)
 			}
-			if tracer != nil {
+			if events != nil {
 				// Traced re-execution: one instrumented DMVCC block per
 				// workload, critical paths on stdout, timeline in -trace.
-				paths, err := bench.TraceHotpath(cfg, 8, tracer, metrics)
+				paths, err := bench.TraceHotpath(cfg, 8, events, ledger, metrics)
 				if err != nil {
 					return err
 				}
@@ -539,7 +552,7 @@ func run(exp string, blocks, txs, simTxs, simBlocks, rq1Blocks int, seed int64, 
 			cfg.Txs = conf.txs
 			cfg.Seed = seed
 			cfg.PerTx = conf.perTx
-			cfg.Forensics = conf.fx
+			cfg.Log = events
 			rep, err := bench.RunConflicts(cfg)
 			if err != nil {
 				return err

@@ -20,6 +20,7 @@ import (
 
 	"dmvcc/internal/chain"
 	"dmvcc/internal/chainsim"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/state"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/workload"
@@ -40,22 +41,19 @@ func main() {
 	postmortem := flag.Bool("postmortem", false, "print the conflict post-mortem of the most contended block (dmvcc only)")
 	flag.Parse()
 
-	var tracer *telemetry.Tracer
 	var metrics *telemetry.Registry
-	var forensics *telemetry.Forensics
+	var events *eventlog.Log
 	if *obsAddr != "" || *postmortem {
-		forensics = telemetry.NewForensics()
-		forensics.Enable()
+		events = eventlog.New()
+		events.Enable()
 	}
 	var timeline *telemetry.Timeline
 	if *obsAddr != "" {
-		tracer = telemetry.NewTracer()
-		tracer.Enable()
 		metrics = telemetry.NewRegistry()
 		timeline = telemetry.NewTimeline(0)
 		stopSampler := timeline.Series.Start(time.Second)
 		defer stopSampler()
-		addr, stop, err := telemetry.Serve(*obsAddr, metrics, tracer, forensics, nil, timeline)
+		addr, stop, err := telemetry.Serve(*obsAddr, metrics, events, nil, timeline)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dmvcc-chainsim:", err)
 			os.Exit(1)
@@ -64,7 +62,7 @@ func main() {
 		fmt.Printf("observability endpoint on http://%s (pprof, /debug/vars, /metrics, /telemetry/timeline, /telemetry/dashboard)\n", addr)
 	}
 
-	if err := run(*mode, *threads, *txs, *blocks, *validators, *interval, *hot, *seed, *backend, *shards, tracer, metrics, forensics, timeline, *postmortem); err != nil {
+	if err := run(*mode, *threads, *txs, *blocks, *validators, *interval, *hot, *seed, *backend, *shards, events, metrics, timeline, *postmortem); err != nil {
 		fmt.Fprintln(os.Stderr, "dmvcc-chainsim:", err)
 		os.Exit(1)
 	}
@@ -116,7 +114,7 @@ func parseMode(s string) (chain.Mode, error) {
 	return chain.Mode(s), nil
 }
 
-func run(modeName string, threads, txs, blocks, validators int, interval time.Duration, hot bool, seed int64, backendName string, shards int, tracer *telemetry.Tracer, metrics *telemetry.Registry, forensics *telemetry.Forensics, timeline *telemetry.Timeline, dump bool) error {
+func run(modeName string, threads, txs, blocks, validators int, interval time.Duration, hot bool, seed int64, backendName string, shards int, events *eventlog.Log, metrics *telemetry.Registry, timeline *telemetry.Timeline, dump bool) error {
 	mode, err := parseMode(modeName)
 	if err != nil {
 		return err
@@ -138,9 +136,8 @@ func run(modeName string, threads, txs, blocks, validators int, interval time.Du
 	w.TxPerBlock = txs
 	w.Backend = backend
 	cfg.Workload = w
-	cfg.Tracer = tracer
+	cfg.Log = events
 	cfg.Metrics = metrics
-	cfg.Forensics = forensics
 	if timeline != nil {
 		cfg.Ledger = timeline.Ledger
 	}

@@ -18,9 +18,11 @@ package dmvcc
 
 import (
 	"fmt"
+	"io"
 
 	"dmvcc/internal/chain"
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
 	"dmvcc/internal/minisol"
 	"dmvcc/internal/sag"
@@ -52,20 +54,18 @@ type (
 	// PipelineStats reports the analysis/execution overlap of a pipelined
 	// multi-block execution.
 	PipelineStats = chain.PipelineStats
-	// Tracer collects scheduler lifecycle events for timeline export (see
-	// WithTracer and telemetry.NewTracer).
-	Tracer = telemetry.Tracer
+	// EventLog is the scheduler event log: the one per-block record of every
+	// DMVCC scheduling action, attached via WithEventLog and read back with
+	// (*Chain).ExportTrace, CriticalPath and PostMortem.
+	EventLog = eventlog.Log
 	// Metrics is a counters/gauges/histograms registry attached via
 	// WithMetrics.
 	Metrics = telemetry.Registry
 	// CriticalPath is the dependency chain bounding one block's makespan.
 	CriticalPath = telemetry.CriticalPath
-	// Forensics collects per-block conflict forensics — abort causes,
-	// cascade trees, hot-key contention profiles, and the C-SAG prediction
-	// audit — attached via WithForensics and read back with PostMortem.
-	Forensics = telemetry.Forensics
-	// PostMortem is the per-block conflict report assembled by a Forensics
-	// collector.
+	// PostMortem is the per-block conflict report — abort causes, cascade
+	// trees, hot-key contention profiles, and the C-SAG prediction audit —
+	// read from the event log.
 	PostMortem = telemetry.PostMortem
 	// StateBackend is the pluggable committed-state store behind a Chain:
 	// the reference trie DB (NewTrieBackend) or a flat-KV backend with lazy
@@ -89,16 +89,12 @@ type (
 	Hardening = core.Hardening
 )
 
-// NewTracer returns a disabled telemetry tracer; call Enable on it and
-// attach it with WithTracer, then export via Snapshot().ExportChrome.
-func NewTracer() *Tracer { return telemetry.NewTracer() }
+// NewEventLog returns a disabled scheduler event log; call Enable on it and
+// attach it with WithEventLog.
+func NewEventLog() *EventLog { return eventlog.New() }
 
 // NewMetrics returns an empty metrics registry for WithMetrics.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
-
-// NewForensics returns a disabled conflict-forensics collector; call Enable
-// on it and attach it with WithForensics.
-func NewForensics() *Forensics { return telemetry.NewForensics() }
 
 // NewTrieBackend returns the reference trie-first state database (the
 // default backend).
@@ -180,18 +176,18 @@ func MappingSlot(baseSlot uint64, key Word) Hash {
 // Chain is a single-node blockchain: committed state plus every registered
 // execution engine.
 type Chain struct {
-	db        state.Backend
-	reg       *sag.Registry
-	eng       *chain.Engine
-	pool      *txpool.Pool
-	height    uint64
-	lastHash  Hash
-	threads   int
-	chainID   uint64
-	tracer    *telemetry.Tracer
-	metrics   *telemetry.Registry
-	forensics *telemetry.Forensics
-	harden    *Hardening
+	db       state.Backend
+	reg      *sag.Registry
+	eng      *chain.Engine
+	pool     *txpool.Pool
+	height   uint64
+	lastHash Hash
+	threads  int
+	chainID  uint64
+	log      *eventlog.Log
+	ledger   *telemetry.StageLedger // pipeline-stage intervals for ExportTrace
+	metrics  *telemetry.Registry
+	harden   *Hardening
 }
 
 // Option configures a Chain.
@@ -209,26 +205,20 @@ func WithChainID(id uint64) Option {
 	return func(c *Chain) { c.chainID = id }
 }
 
-// WithTracer attaches a telemetry tracer: while enabled, it collects the
-// scheduler lifecycle events and pipeline-stage spans of every executed
-// block, exportable as a Chrome/Perfetto timeline.
-func WithTracer(tr *Tracer) Option {
-	return func(c *Chain) { c.tracer = tr }
+// WithEventLog attaches the scheduler event log: while enabled, every DMVCC
+// block appends its complete scheduling history — dispatches, resolved
+// reads, parks, publishes, aborts with their structured cause, commits — to
+// it, and the chain keeps pipeline-stage intervals alongside. One record,
+// three readers: ExportTrace (Chrome/Perfetto timeline), CriticalPath and
+// PostMortem.
+func WithEventLog(l *EventLog) Option {
+	return func(c *Chain) { c.log = l }
 }
 
 // WithMetrics attaches a metrics registry accumulating per-mode latency
 // histograms, commit timings, and scheduler counters.
 func WithMetrics(m *Metrics) Option {
 	return func(c *Chain) { c.metrics = m }
-}
-
-// WithForensics attaches a conflict-forensics collector: while enabled, every
-// DMVCC abort is recorded with its structured cause, cascades are grouped
-// into trees, per-item contention is profiled, and each block's C-SAG
-// predictions are scored against the actual accesses. Read reports back with
-// (*Chain).PostMortem.
-func WithForensics(fx *Forensics) Option {
-	return func(c *Chain) { c.forensics = fx }
 }
 
 // WithBackend installs a custom state backend (see NewFlatBackend and
@@ -269,8 +259,12 @@ func NewChain(genesis func(*Genesis) error, opts ...Option) (*Chain, error) {
 		return nil, fmt.Errorf("dmvcc: commit genesis: %w", err)
 	}
 	engOpts := []chain.EngineOption{chain.WithChainID(c.chainID),
-		chain.WithTracer(c.tracer), chain.WithMetrics(c.metrics),
-		chain.WithForensics(c.forensics)}
+		chain.WithLog(c.log), chain.WithMetrics(c.metrics)}
+	if c.log != nil {
+		c.ledger = telemetry.NewStageLedger()
+		c.ledger.Enable()
+		engOpts = append(engOpts, chain.WithLedger(c.ledger))
+	}
 	if c.harden != nil {
 		engOpts = append(engOpts, chain.WithHardening(*c.harden))
 	}
@@ -293,13 +287,23 @@ func (c *Chain) Balance(addr Address) Word { return c.db.Balance(addr) }
 func (c *Chain) Storage(addr Address, slot Hash) Word { return c.db.Storage(addr, slot) }
 
 // PostMortem returns the conflict post-mortem of a previously executed block,
-// or nil when no enabled forensics collector is attached (WithForensics) or
-// the block was not executed under DMVCC while it was enabled.
+// or nil when no event log is attached (WithEventLog), the block was not
+// executed under DMVCC while it was enabled, or the log has since evicted it.
 func (c *Chain) PostMortem(number uint64) *PostMortem {
-	if !c.forensics.Enabled() {
-		return nil
-	}
-	return c.forensics.PostMortem(int64(number))
+	return telemetry.BlockPostMortem(c.log.Block(int64(number)))
+}
+
+// CriticalPath returns the dependency chain that bounded a previously
+// executed block's makespan (nil under the same conditions as PostMortem).
+func (c *Chain) CriticalPath(number uint64) *CriticalPath {
+	return telemetry.BlockCriticalPath(c.log.Block(int64(number)))
+}
+
+// ExportTrace writes every block the event log still retains as Chrome
+// trace-event JSON (load in https://ui.perfetto.dev): per-worker scheduler
+// timelines plus the analysis/execution/commit pipeline tracks.
+func (c *Chain) ExportTrace(w io.Writer) error {
+	return telemetry.ExportChrome(w, c.log, c.ledger)
 }
 
 // BlockResult is the outcome of one committed block.

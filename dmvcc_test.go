@@ -1,6 +1,8 @@
 package dmvcc_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"dmvcc"
@@ -362,11 +364,12 @@ func TestGossipBetweenChains(t *testing.T) {
 	}
 }
 
-// TestFacadeForensics attaches a forensics collector via the facade and reads
-// a block post-mortem back through (*Chain).PostMortem.
-func TestFacadeForensics(t *testing.T) {
-	fx := dmvcc.NewForensics()
-	fx.Enable()
+// TestFacadeEventLog attaches the scheduler event log via the facade — the one
+// attachment point — and reads all three views back through the chain: the
+// block post-mortem, its critical path, and the Perfetto trace.
+func TestFacadeEventLog(t *testing.T) {
+	events := dmvcc.NewEventLog()
+	events.Enable()
 	var token *dmvcc.Contract
 	c, err := dmvcc.NewChain(func(g *dmvcc.Genesis) error {
 		g.Fund(alice, 1_000_000_000)
@@ -377,7 +380,7 @@ func TestFacadeForensics(t *testing.T) {
 		// snapshot-based C-SAG analysis then predicts them exactly.
 		g.SetStorage(tAddr, dmvcc.MappingSlot(0, alice.Word()), dmvcc.NewWord(1000))
 		return derr
-	}, dmvcc.WithThreads(4), dmvcc.WithForensics(fx))
+	}, dmvcc.WithThreads(4), dmvcc.WithEventLog(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,10 +402,26 @@ func TestFacadeForensics(t *testing.T) {
 		t.Fatalf("audit = %+v, want a fully predicted block", pm.Audit)
 	}
 
-	// Without a collector the accessor reports nothing rather than panicking.
+	if cp := c.CriticalPath(1); cp == nil || len(cp.Hops) == 0 {
+		t.Fatalf("critical path = %+v, want a chain ending at the last commit", cp)
+	}
+	var trace bytes.Buffer
+	if err := c.ExportTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"block 1 scheduler"`, `"pipeline"`, `"execution block 1"`, `"commit block 1"`} {
+		if !strings.Contains(trace.String(), want) {
+			t.Errorf("exported trace lacks %s", want)
+		}
+	}
+
+	// Without a log the readers report nothing rather than panicking.
 	bare, _ := newChain(t)
-	if bare.PostMortem(1) != nil {
-		t.Fatal("collector-less chain produced a post-mortem")
+	if bare.PostMortem(1) != nil || bare.CriticalPath(1) != nil {
+		t.Fatal("log-less chain produced a report")
+	}
+	if err := bare.ExportTrace(&trace); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Telemetry: attach a tracer and a metrics registry to a chain, execute a
+// Telemetry: attach the scheduler event log and a metrics registry to a chain, execute a
 // deliberately contended block under DMVCC, then export a Chrome/Perfetto
 // timeline, print the block's critical path, and dump the metrics snapshot.
 package main
@@ -34,8 +34,8 @@ func main() {
 }
 
 func run() error {
-	tracer := dmvcc.NewTracer()
-	tracer.Enable()
+	events := dmvcc.NewEventLog()
+	events.Enable()
 	metrics := dmvcc.NewMetrics()
 
 	counterAddr := dmvcc.HexAddress("0xc000000000000000000000000000000000000001")
@@ -52,7 +52,7 @@ func run() error {
 		var err error
 		counter, err = g.Deploy(counterAddr, counterSrc)
 		return err
-	}, dmvcc.WithThreads(8), dmvcc.WithTracer(tracer), dmvcc.WithMetrics(metrics))
+	}, dmvcc.WithThreads(8), dmvcc.WithEventLog(events), dmvcc.WithMetrics(metrics))
 	if err != nil {
 		return err
 	}
@@ -71,19 +71,18 @@ func run() error {
 		res.Root.Hex()[:18], res.Stats.EarlyPublishes, res.Stats.DeltaPublishes, res.Stats.Aborts)
 
 	// Timeline: one track per scheduler worker, loadable in ui.perfetto.dev.
-	trace := tracer.Snapshot()
 	f, err := os.Create("telemetry_trace.json")
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := trace.ExportChrome(f); err != nil {
+	if err := c.ExportTrace(f); err != nil {
 		return err
 	}
 	fmt.Println("wrote telemetry_trace.json (load in https://ui.perfetto.dev)")
 
 	// Critical path: the dependency chain that bounds the block's makespan.
-	if cp := trace.CriticalPath(tracer.Block()); cp != nil {
+	if cp := c.CriticalPath(res.Block.Header.Number); cp != nil {
 		fmt.Print(cp.Render())
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"dmvcc/internal/chain"
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/state"
 	"dmvcc/internal/telemetry"
@@ -220,7 +221,7 @@ func commitWithRetries(eng *chain.Engine, out *chain.ExecOut) (root types.Hash, 
 
 // RunChaos drives the soak: for every fault class, twin seeded worlds — one
 // committed serially, one through a fault-injected DMVCC engine with
-// hardening and forensics attached — asserting byte-identical roots block by
+// hardening and the event log attached — asserting byte-identical roots block by
 // block (including breaker-tripped blocks, whose serial fallback must heal
 // them) and that every degradation reason lands in the post-mortem.
 func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
@@ -293,8 +294,8 @@ func runChaosClass(cfg ChaosConfig, cl chaosClass, classIdx int64, blocks int) (
 	}
 	serialEng := chain.NewEngine(serialW.DB, serialW.Registry, 1)
 
-	fx := telemetry.NewForensics()
-	fx.Enable()
+	events := eventlog.New()
+	events.Enable()
 	newInjector := func(block int) *fault.Injector {
 		return fault.New(fault.Config{
 			// Distinct seed per class (and per block for fire-limit recipes)
@@ -309,7 +310,7 @@ func runChaosClass(cfg ChaosConfig, cl chaosClass, classIdx int64, blocks int) (
 	chaosEng := chain.NewEngine(chaosW.DB, chaosW.Registry, cfg.Threads,
 		chain.WithFaults(injector),
 		chain.WithHardening(cl.hard),
-		chain.WithForensics(fx))
+		chain.WithLog(events))
 
 	cc := &ChaosClass{Name: cl.name, Backend: backendName, Blocks: blocks, FaultsFired: map[string]int64{}}
 	for b := 0; b < blocks; b++ {
@@ -353,8 +354,8 @@ func runChaosClass(cfg ChaosConfig, cl chaosClass, classIdx int64, blocks int) (
 				cc.DegradeReasons = append(cc.DegradeReasons, out.Stats.DegradeReason)
 			}
 			// The degradation must be observable after the fact: the
-			// forensics post-mortem carries the reason.
-			if pm := fx.PostMortem(int64(blockCtx.Number)); pm == nil || pm.Degraded != out.Stats.DegradeReason {
+			// post-mortem carries the reason.
+			if pm := telemetry.BlockPostMortem(events.Block(int64(blockCtx.Number))); pm == nil || pm.Degraded != out.Stats.DegradeReason {
 				return nil, fmt.Errorf("block %d: post-mortem does not carry the degradation reason %q",
 					b, out.Stats.DegradeReason)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"dmvcc/internal/chain"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/workload"
 )
@@ -29,10 +30,10 @@ type ConflictsConfig struct {
 	Seed int64
 	// PerTx keeps the per-transaction audit rows in the report (large).
 	PerTx bool
-	// Forensics, when non-nil, is the collector the experiment records into
-	// (a live introspection endpoint can then serve the post-mortems as they
-	// are produced). When nil each workload gets a private collector.
-	Forensics *telemetry.Forensics
+	// Log, when non-nil, is the event log the experiment records into (a live
+	// introspection endpoint can then serve the post-mortems as they are
+	// produced). When nil each workload gets a private log.
+	Log *eventlog.Log
 }
 
 // DefaultConflictsConfig is the checked-in reference configuration.
@@ -142,18 +143,18 @@ func RunConflicts(cfg ConflictsConfig) (*ConflictsReport, error) {
 }
 
 // runConflictsWorkload executes and commits cfg.Blocks consecutive blocks of
-// one workload with a forensics collector attached.
+// one workload with the event log armed.
 func runConflictsWorkload(name string, deterministic bool, wl workload.Config, cfg ConflictsConfig) (*ConflictsWorkload, error) {
 	world, err := workload.BuildWorld(wl)
 	if err != nil {
 		return nil, err
 	}
-	fx := cfg.Forensics
-	if fx == nil {
-		fx = telemetry.NewForensics()
+	events := cfg.Log
+	if events == nil {
+		events = eventlog.New()
 	}
-	fx.Enable()
-	eng := chain.NewEngine(world.DB, world.Registry, cfg.Threads, chain.WithForensics(fx))
+	events.Enable()
+	eng := chain.NewEngine(world.DB, world.Registry, cfg.Threads, chain.WithLog(events))
 
 	cw := &ConflictsWorkload{Name: name, Deterministic: deterministic}
 	for b := 0; b < cfg.Blocks; b++ {
@@ -166,7 +167,7 @@ func runConflictsWorkload(name string, deterministic bool, wl workload.Config, c
 		if _, err := eng.Commit(out.WriteSet); err != nil {
 			return nil, fmt.Errorf("commit block %d: %w", blockCtx.Number, err)
 		}
-		pm := fx.PostMortem(int64(blockCtx.Number))
+		pm := telemetry.BlockPostMortem(events.Block(int64(blockCtx.Number)))
 		if pm != nil && pm.Audit != nil && !cfg.PerTx {
 			pm.Audit.PerTx = nil
 		}

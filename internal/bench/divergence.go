@@ -11,6 +11,7 @@ import (
 	"dmvcc/internal/baseline"
 	"dmvcc/internal/chain"
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/replay"
@@ -26,7 +27,7 @@ import (
 const DivergenceRunSchema = "dmvcc-bench/divergence/v1"
 
 // DivergenceConfig parameterizes the divergence hunt: fault-injected DMVCC
-// blocks with the flight recorder armed, each diffed against a serial twin.
+// blocks with the event log armed, each diffed against a serial twin.
 // On the first diverging block the capture is written to disk, audited down
 // to the first divergent transaction, and greedily shrunk to a minimal
 // repro. On a clean run the last recorded block is round-tripped through
@@ -220,7 +221,7 @@ func (t *divTarget) preValue(id sag.ItemID) u256.Int {
 // gated wait can never starve the transaction whose event is at the log
 // head, and the stall watchdog off — the sequencer has its own recovery).
 func execTarget(t *divTarget, cl chaosClass, rec replay.Recipe,
-	recorder *core.ScheduleRecorder, gate core.Gate, threads int) (*chain.ExecOut, error) {
+	events *eventlog.Log, gate core.Gate, threads int) (*chain.ExecOut, error) {
 
 	txs := subsetTxs(t.txs, rec.Keep)
 	hard := cl.hard
@@ -228,10 +229,7 @@ func execTarget(t *divTarget, cl chaosClass, rec replay.Recipe,
 		threads = len(txs)
 		hard = core.Hardening{StallTimeout: -1}
 	}
-	opts := []chain.EngineOption{chain.WithFaults(divInjector(rec, cl)), chain.WithHardening(hard)}
-	if recorder != nil {
-		opts = append(opts, chain.WithRecorder(recorder))
-	}
+	opts := []chain.EngineOption{chain.WithFaults(divInjector(rec, cl)), chain.WithHardening(hard), chain.WithLog(events)}
 	if gate != nil {
 		opts = append(opts, chain.WithGate(gate))
 	}
@@ -390,7 +388,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 		Txs:        cfg.Txs,
 		Seed:       cfg.Seed,
 	}
-	recorder := core.NewScheduleRecorder()
+	recorder := eventlog.New()
 	recorder.Enable()
 
 	// lastClean remembers the most recent cleanly-recorded block for the
@@ -398,7 +396,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 	type cleanCapture struct {
 		recipe replay.Recipe
 		class  chaosClass
-		events []core.SchedEvent
+		events []eventlog.Event
 		stats  core.Stats
 		root   types.Hash
 	}
@@ -427,7 +425,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 		chaosEng := chain.NewEngine(chaosW.DB, chaosW.Registry, cfg.Threads,
 			chain.WithFaults(divInjector(rec, cl)),
 			chain.WithHardening(cl.hard),
-			chain.WithRecorder(recorder),
+			chain.WithLog(recorder),
 			chain.WithMetrics(cfg.Metrics))
 
 		for b := 0; b < blocks; b++ {
@@ -444,7 +442,6 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 			}
 			serialWS := mergeSets(sets)
 
-			recorder.Reset()
 			out, err := chaosEng.Execute(chain.ModeDMVCC, ctx, txs)
 			if err != nil {
 				return nil, fmt.Errorf("block %d dmvcc: %w", b, err)
@@ -471,7 +468,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 			if !diverged {
 				if !out.Stats.Degraded {
 					lastClean = &cleanCapture{recipe: rec, class: cl,
-						events: recorder.Snapshot(), stats: out.Stats, root: parallelRoot}
+						events: recorder.Events(int64(ctx.Number)), stats: out.Stats, root: parallelRoot}
 				}
 				continue
 			}
@@ -483,7 +480,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 			if cfg.Metrics != nil {
 				cfg.Metrics.Counter("core.divergence_blocks").Inc()
 			}
-			events := recorder.Snapshot()
+			events := recorder.Events(int64(ctx.Number))
 			cap := &replay.Capture{
 				Schema:       replay.CaptureSchema,
 				Recipe:       rec,
@@ -492,7 +489,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 				SerialRoot:   serialRoot.Hex(),
 				ParallelRoot: parallelRoot.Hex(),
 				Stats:        out.Stats,
-				Events:       replay.EncodeEvents(events),
+				Events:       eventlog.EncodeEvents(events),
 			}
 			res.CaptureFile = filepath.Join(cfg.OutDir, "BENCH_divergence_capture.json")
 			if err := cap.WriteFile(res.CaptureFile); err != nil {
@@ -520,7 +517,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 				minRec.Keep = keep
 				// Record the minimized repro's own schedule so -replay can
 				// force it.
-				minRecorder := core.NewScheduleRecorder()
+				minRecorder := eventlog.New()
 				minRecorder.Enable()
 				minOut, err := execTarget(at, cl, minRec, minRecorder, nil, cfg.Threads)
 				if err == nil {
@@ -530,7 +527,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 						Threads:    cfg.Threads,
 						GoMaxProcs: runtime.GOMAXPROCS(0),
 						Stats:      minOut.Stats,
-						Events:     replay.EncodeEvents(minRecorder.Snapshot()),
+						Events:     eventlog.EncodeEvents(minRecorder.Events(int64(at.ctx.Number))),
 					}
 					res.MinimizedFile = filepath.Join(cfg.OutDir, "BENCH_divergence_minimized.json")
 					if err := minCap.WriteFile(res.MinimizedFile); err != nil {
@@ -574,7 +571,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 		SerialRoot:   lastClean.root.Hex(),
 		ParallelRoot: lastClean.root.Hex(),
 		Stats:        lastClean.stats,
-		Events:       replay.EncodeEvents(lastClean.events),
+		Events:       eventlog.EncodeEvents(lastClean.events),
 	}
 	res.CaptureFile = filepath.Join(cfg.OutDir, "BENCH_divergence_capture.json")
 	if err := cap.WriteFile(res.CaptureFile); err != nil {
@@ -588,7 +585,7 @@ func RunDivergenceRecord(cfg DivergenceConfig) (*DivergenceRun, error) {
 // same deterministic stats, same per-transaction schedule, no skipped or
 // abandoned events.
 func roundTripCapture(rec replay.Recipe, cl chaosClass,
-	events []core.SchedEvent, stats core.Stats, root types.Hash) (*RoundTrip, error) {
+	events []eventlog.Event, stats core.Stats, root types.Hash) (*RoundTrip, error) {
 
 	t, err := buildDivTarget(rec)
 	if err != nil {
@@ -596,7 +593,7 @@ func roundTripCapture(rec replay.Recipe, cl chaosClass,
 	}
 	seq := replay.NewSequencer(events)
 	seq.Start()
-	replayRec := core.NewScheduleRecorder()
+	replayRec := eventlog.New()
 	replayRec.Enable()
 	out, err := execTarget(t, cl, rec, replayRec, seq, 0)
 	seq.Stop()
@@ -616,7 +613,7 @@ func roundTripCapture(rec replay.Recipe, cl chaosClass,
 		StatsMatch: replay.DeterministicStats(out.Stats) ==
 			replay.DeterministicStats(stats),
 	}
-	firstDiff, why := replay.CompareSchedules(events, replayRec.Snapshot())
+	firstDiff, why := replay.CompareSchedules(events, replayRec.Events(int64(t.ctx.Number)))
 	rt.ScheduleMatch = firstDiff == -1
 	if !rt.Faithful {
 		rt.Note = fmt.Sprintf("sequencer skipped %d of %d events", seq.Skipped(), len(events))
@@ -679,7 +676,7 @@ func RunDivergenceReplay(path string, cfg DivergenceConfig) (*DivergenceRun, err
 
 	seq := replay.NewSequencer(events)
 	seq.Start()
-	replayRec := core.NewScheduleRecorder()
+	replayRec := eventlog.New()
 	replayRec.Enable()
 	out, err := execTarget(t, cl, cap.Recipe, replayRec, seq, 0)
 	seq.Stop()
@@ -703,14 +700,14 @@ func RunDivergenceReplay(path string, cfg DivergenceConfig) (*DivergenceRun, err
 		return nil, err
 	}
 	rt.RootMatch = cap.ParallelRoot == "" || replayRoot.Hex() == cap.ParallelRoot
-	firstDiff, why := replay.CompareSchedules(events, replayRec.Snapshot())
+	firstDiff, why := replay.CompareSchedules(events, replayRec.Events(int64(t.ctx.Number)))
 	rt.ScheduleMatch = firstDiff == -1
 	if !rt.ScheduleMatch {
 		rt.Note = fmt.Sprintf("schedule differs at tx %d: %s", firstDiff, why)
 	}
 	res.RoundTrip = rt
 	if res.Diverged {
-		report := replay.Audit(replayRec.Snapshot(), out.Receipts, sets, t.preValue, out.WriteSet)
+		report := replay.Audit(replayRec.Events(int64(t.ctx.Number)), out.Receipts, sets, t.preValue, out.WriteSet)
 		report.Recipe = cap.Recipe
 		report.CaptureFile = path
 		res.Report = report

@@ -6,6 +6,7 @@ import (
 	"dmvcc/internal/baseline"
 	"dmvcc/internal/chain"
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/replay"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/state"
@@ -38,9 +39,9 @@ func TestRoundTripAllModes(t *testing.T) {
 				txs := wA.NextBlock()
 				wB.NextBlock()
 
-				recorder := core.NewScheduleRecorder()
+				recorder := eventlog.New()
 				recorder.Enable()
-				engA := chain.NewEngine(wA.DB, wA.Registry, threads, chain.WithRecorder(recorder))
+				engA := chain.NewEngine(wA.DB, wA.Registry, threads, chain.WithLog(recorder))
 				outA, err := engA.Execute(mode, ctx, txs)
 				if err != nil {
 					t.Fatal(err)
@@ -52,17 +53,17 @@ func TestRoundTripAllModes(t *testing.T) {
 
 				var outB *chain.ExecOut
 				if mode == chain.ModeDMVCC {
-					events := recorder.Snapshot()
+					events := recorder.Events(int64(ctx.Number))
 					if len(events) == 0 {
 						t.Fatal("recorder captured no DMVCC events")
 					}
 					seq := replay.NewSequencer(events)
 					seq.Start()
 					defer seq.Stop()
-					replayRec := core.NewScheduleRecorder()
+					replayRec := eventlog.New()
 					replayRec.Enable()
 					engB := chain.NewEngine(wB.DB, wB.Registry, len(txs),
-						chain.WithGate(seq), chain.WithRecorder(replayRec),
+						chain.WithGate(seq), chain.WithLog(replayRec),
 						chain.WithHardening(core.Hardening{StallTimeout: -1}))
 					outB, err = engB.Execute(mode, ctx, txs)
 					if err != nil {
@@ -72,7 +73,7 @@ func TestRoundTripAllModes(t *testing.T) {
 					if !seq.Faithful() {
 						t.Errorf("sequencer skipped %d of %d events", seq.Skipped(), len(events))
 					}
-					if tx, why := replay.CompareSchedules(events, replayRec.Snapshot()); tx != -1 {
+					if tx, why := replay.CompareSchedules(events, replayRec.Events(int64(ctx.Number))); tx != -1 {
 						t.Errorf("replayed schedule differs at tx %d: %s", tx, why)
 					}
 					if a, b := replay.DeterministicStats(outA.Stats), replay.DeterministicStats(outB.Stats); a != b {
@@ -100,7 +101,7 @@ func TestRoundTripAllModes(t *testing.T) {
 // auditFixture builds a synthetic 3-tx block: serial oracle sets plus a
 // recorded parallel schedule that agrees everywhere. Tests then perturb one
 // side and check the auditor pinpoints exactly that transaction and item.
-func auditFixture() (events []core.SchedEvent, receipts []*types.Receipt,
+func auditFixture() (events []eventlog.Event, receipts []*types.Receipt,
 	serial []*baseline.TxSets, slot sag.ItemID, bal sag.ItemID) {
 
 	addr := types.BytesToAddress([]byte{0xaa})
@@ -140,22 +141,22 @@ func auditFixture() (events []core.SchedEvent, receipts []*types.Receipt,
 	}
 	receipts = []*types.Receipt{serial[0].Receipt, serial[1].Receipt, serial[2].Receipt}
 
-	mk := func(op core.SchedOp, tx, inc, src int, item sag.ItemID, v uint64) core.SchedEvent {
-		return core.SchedEvent{Op: op, Tx: int32(tx), Inc: int32(inc), Src: int32(src),
+	mk := func(op eventlog.Op, tx, inc, src int, item sag.ItemID, v uint64) eventlog.Event {
+		return eventlog.Event{Op: op, Tx: int32(tx), Inc: int32(inc), Src: int32(src),
 			Worker: -1, Item: item, Val: val(v)}
 	}
-	events = []core.SchedEvent{
-		mk(core.OpDispatch, 0, 0, -1, sag.ItemID{}, 0),
-		mk(core.OpPublish, 0, 0, -1, slot, 10),
-		mk(core.OpCommit, 0, 0, -1, sag.ItemID{}, 0),
-		mk(core.OpDispatch, 1, 0, -1, sag.ItemID{}, 0),
-		mk(core.OpRead, 1, 0, 0, slot, 10), // early-read from tx0's version
-		mk(core.OpPublish, 1, 0, -1, bal, 5),
-		mk(core.OpCommit, 1, 0, -1, sag.ItemID{}, 0),
-		mk(core.OpDispatch, 2, 0, -1, sag.ItemID{}, 0),
-		mk(core.OpRead, 2, 0, 0, slot, 10),
-		mk(core.OpPublish, 2, 0, -1, slot, 20),
-		mk(core.OpCommit, 2, 0, -1, sag.ItemID{}, 0),
+	events = []eventlog.Event{
+		mk(eventlog.OpDispatch, 0, 0, -1, sag.ItemID{}, 0),
+		mk(eventlog.OpPublish, 0, 0, -1, slot, 10),
+		mk(eventlog.OpCommit, 0, 0, -1, sag.ItemID{}, 0),
+		mk(eventlog.OpDispatch, 1, 0, -1, sag.ItemID{}, 0),
+		mk(eventlog.OpRead, 1, 0, 0, slot, 10), // early-read from tx0's version
+		mk(eventlog.OpPublish, 1, 0, -1, bal, 5),
+		mk(eventlog.OpCommit, 1, 0, -1, sag.ItemID{}, 0),
+		mk(eventlog.OpDispatch, 2, 0, -1, sag.ItemID{}, 0),
+		mk(eventlog.OpRead, 2, 0, 0, slot, 10),
+		mk(eventlog.OpPublish, 2, 0, -1, slot, 20),
+		mk(eventlog.OpCommit, 2, 0, -1, sag.ItemID{}, 0),
 	}
 	for i := range events {
 		events[i].Seq = uint64(i)

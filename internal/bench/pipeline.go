@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dmvcc/internal/chain"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/workload"
 )
@@ -56,15 +57,15 @@ func (r *PipelineReport) Render() string {
 // the sequential per-block loop, once pipelined — verifies the committed
 // roots agree block by block, and reports the analysis overlap won.
 func MeasurePipeline(cfg SpeedupConfig) (*PipelineReport, error) {
-	return MeasurePipelineTraced(cfg, nil, nil)
+	return MeasurePipelineTraced(cfg, nil, nil, nil)
 }
 
 // MeasurePipelineTraced is MeasurePipeline with telemetry attached to the
-// pipelined run: the tracer collects per-block scheduler events plus the
-// analysis/execution/commit stage spans (so a Perfetto export shows the
-// pipeline overlap), and the registry accumulates the engine metrics. Both
-// may be nil.
-func MeasurePipelineTraced(cfg SpeedupConfig, tr *telemetry.Tracer, reg *telemetry.Registry) (*PipelineReport, error) {
+// pipelined run: the event log collects per-block scheduler events, the
+// ledger the analysis/execution/commit stage intervals (so a Perfetto export
+// shows the pipeline overlap), and the registry accumulates the engine
+// metrics. All three may be nil.
+func MeasurePipelineTraced(cfg SpeedupConfig, events *eventlog.Log, ledger *telemetry.StageLedger, reg *telemetry.Registry) (*PipelineReport, error) {
 	source, err := workload.BuildWorld(cfg.Workload)
 	if err != nil {
 		return nil, err
@@ -99,7 +100,7 @@ func MeasurePipelineTraced(cfg SpeedupConfig, tr *telemetry.Tracer, reg *telemet
 		return nil, err
 	}
 	engPipe := chain.NewEngine(wPipe.DB, wPipe.Registry, 8,
-		chain.WithTracer(tr), chain.WithMetrics(reg))
+		chain.WithLog(events), chain.WithLedger(ledger), chain.WithMetrics(reg))
 	start = time.Now()
 	res, err := engPipe.ExecutePipelined(chain.ModeDMVCC, inputs)
 	if err != nil {

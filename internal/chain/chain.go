@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/sag"
@@ -62,19 +63,17 @@ func (o *ExecOut) Makespan(mode Mode, threads int) (uint64, error) {
 
 // Engine executes blocks against a state database.
 type Engine struct {
-	db        state.Backend
-	reg       *sag.Registry
-	an        *sag.Analyzer
-	threads   int
-	chainID   uint64
-	tracer    *telemetry.Tracer
-	metrics   *telemetry.Registry
-	forensics *telemetry.Forensics
-	ledger    *telemetry.StageLedger
-	faults    *fault.Injector
-	harden    *core.Hardening
-	recorder  *core.ScheduleRecorder
-	gate      core.Gate
+	db      state.Backend
+	reg     *sag.Registry
+	an      *sag.Analyzer
+	threads int
+	chainID uint64
+	log     *eventlog.Log
+	metrics *telemetry.Registry
+	ledger  *telemetry.StageLedger
+	faults  *fault.Injector
+	harden  *core.Hardening
+	gate    core.Gate
 
 	// Commit fault bookkeeping: the block whose write set the next Commit
 	// applies, and how many commit attempts it has seen (injected commit
@@ -96,11 +95,12 @@ func WithChainID(id uint64) EngineOption {
 	return func(e *Engine) { e.chainID = id }
 }
 
-// WithTracer attaches a telemetry tracer: scheduler lifecycle events and
-// pipeline-stage spans of every execution are collected into it (while it is
-// enabled).
-func WithTracer(tr *telemetry.Tracer) EngineOption {
-	return func(e *Engine) { e.tracer = tr }
+// WithLog attaches the scheduler event log: while it is enabled, every DMVCC
+// execution appends its complete scheduling history to it — the one record
+// the Perfetto export, critical path, conflict post-mortem, C-SAG audit and
+// the replay toolchain all read.
+func WithLog(l *eventlog.Log) EngineOption {
+	return func(e *Engine) { e.log = l }
 }
 
 // WithMetrics attaches a metrics registry: per-mode latency histograms,
@@ -109,18 +109,11 @@ func WithMetrics(m *telemetry.Registry) EngineOption {
 	return func(e *Engine) { e.metrics = m }
 }
 
-// WithForensics attaches a conflict-forensics collector: DMVCC executions
-// record per-item contention profiles, structured abort records, and the
-// C-SAG accuracy audit of every block into it (while it is enabled).
-func WithForensics(fx *telemetry.Forensics) EngineOption {
-	return func(e *Engine) { e.forensics = fx }
-}
-
 // WithLedger attaches a stage-occupancy ledger: every execution, offline
 // analysis, and commit reports its enter/exit interval into it (while it is
-// enabled), feeding the rolling node-level time series and the stage-gap
-// auditor. Events fire once per stage per block, never on the transaction
-// hot path.
+// enabled), feeding the rolling node-level time series, the stage-gap
+// auditor and the Perfetto export's pipeline tracks. Events fire once per
+// stage per block, never on the transaction hot path.
 func WithLedger(l *telemetry.StageLedger) EngineOption {
 	return func(e *Engine) { e.ledger = l }
 }
@@ -136,12 +129,6 @@ func WithFaults(in *fault.Injector) EngineOption {
 // abort-storm circuit breaker and the stall watchdog (see core.Hardening).
 func WithHardening(h core.Hardening) EngineOption {
 	return func(e *Engine) { e.harden = &h }
-}
-
-// WithRecorder attaches a schedule flight recorder: DMVCC executions log
-// their complete scheduling history into it while it is enabled.
-func WithRecorder(rc *core.ScheduleRecorder) EngineOption {
-	return func(e *Engine) { e.recorder = rc }
 }
 
 // WithGate attaches a replay gate: DMVCC executions are forced to follow
@@ -198,29 +185,17 @@ func (e *Engine) ChainID() uint64 { return e.chainID }
 // SetThreads adjusts the parallelism for subsequent executions.
 func (e *Engine) SetThreads(n int) { e.threads = n }
 
-// SetTracer attaches (or detaches, with nil) the telemetry tracer.
-func (e *Engine) SetTracer(tr *telemetry.Tracer) { e.tracer = tr }
-
-// Tracer returns the attached telemetry tracer (nil when none).
-func (e *Engine) Tracer() *telemetry.Tracer { return e.tracer }
-
 // SetMetrics attaches (or detaches, with nil) the metrics registry.
 func (e *Engine) SetMetrics(m *telemetry.Registry) { e.metrics = m }
 
 // Metrics returns the attached metrics registry (nil when none).
 func (e *Engine) Metrics() *telemetry.Registry { return e.metrics }
 
-// SetForensics attaches (or detaches, with nil) the forensics collector.
-func (e *Engine) SetForensics(fx *telemetry.Forensics) { e.forensics = fx }
-
 // SetLedger attaches (or detaches, with nil) the stage-occupancy ledger.
 func (e *Engine) SetLedger(l *telemetry.StageLedger) { e.ledger = l }
 
 // Ledger returns the attached stage-occupancy ledger (nil when none).
 func (e *Engine) Ledger() *telemetry.StageLedger { return e.ledger }
-
-// Forensics returns the attached forensics collector (nil when none).
-func (e *Engine) Forensics() *telemetry.Forensics { return e.forensics }
 
 // SetFaults attaches (or detaches, with nil) the fault injector, rewiring
 // the backend's KV fault hooks to match.
@@ -235,32 +210,24 @@ func (e *Engine) Faults() *fault.Injector { return e.faults }
 // SetHardening overrides the DMVCC failure-containment thresholds.
 func (e *Engine) SetHardening(h core.Hardening) { e.harden = &h }
 
-// SetRecorder attaches (or detaches, with nil) the schedule flight recorder.
-func (e *Engine) SetRecorder(rc *core.ScheduleRecorder) { e.recorder = rc }
-
-// Recorder returns the attached flight recorder (nil when none).
-func (e *Engine) Recorder() *core.ScheduleRecorder { return e.recorder }
-
 // SetGate attaches (or detaches, with nil) the replay gate.
 func (e *Engine) SetGate(g core.Gate) { e.gate = g }
 
 // execContext assembles the scheduler input for one block.
 func (e *Engine) execContext(blockCtx evm.BlockContext, txs []*types.Transaction, csags []*sag.CSAG) ExecContext {
 	return ExecContext{
-		State:     e.db,
-		Registry:  e.reg,
-		Analyzer:  e.an,
-		Block:     blockCtx,
-		Txs:       txs,
-		Threads:   e.threads,
-		CSAGs:     csags,
-		Tracer:    e.tracer,
-		Metrics:   e.metrics,
-		Forensics: e.forensics,
-		Faults:    e.faults,
-		Harden:    e.harden,
-		Recorder:  e.recorder,
-		Gate:      e.gate,
+		State:    e.db,
+		Registry: e.reg,
+		Analyzer: e.an,
+		Block:    blockCtx,
+		Txs:      txs,
+		Threads:  e.threads,
+		CSAGs:    csags,
+		Log:      e.log,
+		Metrics:  e.metrics,
+		Faults:   e.faults,
+		Harden:   e.harden,
+		Gate:     e.gate,
 	}
 }
 
@@ -277,21 +244,15 @@ func (e *Engine) ExecuteWith(mode Mode, blockCtx evm.BlockContext, txs []*types.
 	if err != nil {
 		return nil, err
 	}
-	e.tracer.SetBlock(int64(blockCtx.Number))
 	if e.lastBlock != int64(blockCtx.Number) {
 		e.lastBlock = int64(blockCtx.Number)
 		e.commitAttempts = 0
 	}
-	start := time.Now()
 	e.ledger.Enter(telemetry.StageExecution, int64(blockCtx.Number))
 	out, err := s.Execute(e.execContext(blockCtx, txs, csags))
 	e.ledger.Exit(telemetry.StageExecution, int64(blockCtx.Number))
 	if err != nil {
 		return nil, err
-	}
-	if e.tracer.Enabled() {
-		e.tracer.RecordSpan(int64(blockCtx.Number), "execution",
-			fmt.Sprintf("%s block %d", mode, blockCtx.Number), start, time.Now())
 	}
 	e.observe(mode, out)
 	return out, nil
@@ -321,7 +282,6 @@ func (e *Engine) observe(mode Mode, out *ExecOut) {
 	if mode == ModeDMVCC {
 		out.Stats.RecordMetrics(e.metrics)
 		e.metrics.Counter("core.wasted_gas").Add(int64(out.WastedGas))
-		e.recorder.FlushMetrics(e.metrics)
 	}
 	if out.Aborts > 0 {
 		e.metrics.Counter("chain." + m + ".aborts").Add(out.Aborts)
@@ -379,9 +339,6 @@ func (e *Engine) Commit(ws *state.WriteSet) (types.Hash, error) {
 		}
 		e.observeDurability()
 	}
-	if e.tracer.Enabled() {
-		e.tracer.RecordSpan(e.tracer.Block(), "commit", "commit", start, time.Now())
-	}
 	return root, nil
 }
 
@@ -401,7 +358,6 @@ func (e *Engine) CommitAsync(ws *state.WriteSet) <-chan state.CommitResult {
 		return ch
 	}
 	start := time.Now()
-	block := e.tracer.Block()
 	if e.ledger.Enabled() {
 		e.ledger.Enter(telemetry.StageCommit, e.lastBlock)
 		e.ledger.NoteCommitIssued()
@@ -415,15 +371,10 @@ func (e *Engine) CommitAsync(ws *state.WriteSet) <-chan state.CommitResult {
 			e.ledger.Exit(telemetry.StageCommit, ledgerBlock)
 			e.ledger.NoteCommitDone(time.Since(start))
 		}
-		if res.Err == nil {
-			if e.metrics != nil {
-				e.metrics.Histogram("chain.commit_ns").Observe(float64(time.Since(start).Nanoseconds()))
-				e.observeCommitStats(res.Stats)
-				e.observeDurability()
-			}
-			if e.tracer.Enabled() {
-				e.tracer.RecordSpan(block, "commit", "commit (async)", start, time.Now())
-			}
+		if res.Err == nil && e.metrics != nil {
+			e.metrics.Histogram("chain.commit_ns").Observe(float64(time.Since(start).Nanoseconds()))
+			e.observeCommitStats(res.Stats)
+			e.observeDurability()
 		}
 		out <- res
 	}()

@@ -170,7 +170,7 @@ func BenchmarkLedgerNone(b *testing.B) {
 
 // BenchmarkLedgerDisabled attaches a ledger but leaves it disabled: each
 // per-block-stage hook pays one atomic-flag load and nothing else. The
-// contract (mirroring the tracer's) is that this stays within 2% of
+// contract (mirroring the event log's) is that this stays within 2% of
 // BenchmarkLedgerNone — pinned in CI next to the telemetry-overhead gate.
 func BenchmarkLedgerDisabled(b *testing.B) {
 	benchLedgerExecute(b, telemetry.NewStageLedger())

@@ -159,10 +159,6 @@ func (e *Engine) ExecutePipelinedHooked(mode Mode, blocks []BlockInput, hooks Pi
 		a.csags, a.err = offline.AnalyzeOffline(e.execContext(blocks[i].Block, blocks[i].Txs, blocks[i].CSAGs))
 		e.ledger.Exit(telemetry.StageAnalysis, int64(blocks[i].Block.Number))
 		a.dur = time.Since(start)
-		if e.tracer.Enabled() {
-			e.tracer.RecordSpan(int64(blocks[i].Block.Number), "analysis",
-				fmt.Sprintf("analyze block %d", blocks[i].Block.Number), start, time.Now())
-		}
 		if hooks.AnalysisDone != nil {
 			hooks.AnalysisDone(i)
 		}
@@ -258,7 +254,6 @@ func (e *Engine) ExecutePipelinedHooked(mode Mode, blocks []BlockInput, hooks Pi
 		// running, not whatever the last sequential call left behind.
 		e.lastBlock = int64(blocks[i].Block.Number)
 		e.commitAttempts = 0
-		e.tracer.SetBlock(int64(blocks[i].Block.Number))
 		execStart := time.Now()
 		e.ledger.Enter(telemetry.StageExecution, int64(blocks[i].Block.Number))
 		out, err := sched.Execute(e.execContext(blocks[i].Block, blocks[i].Txs, csags))
@@ -268,10 +263,6 @@ func (e *Engine) ExecutePipelinedHooked(mode Mode, blocks []BlockInput, hooks Pi
 		}
 		execDur := time.Since(execStart)
 		res.Stats.ExecWall += execDur
-		if e.tracer.Enabled() {
-			e.tracer.RecordSpan(int64(blocks[i].Block.Number), "execution",
-				fmt.Sprintf("%s block %d", mode, blocks[i].Block.Number), execStart, time.Now())
-		}
 		e.observe(mode, out)
 		if hooks.ExecDone != nil {
 			hooks.ExecDone(i)

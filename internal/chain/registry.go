@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/sag"
@@ -55,16 +56,14 @@ type ExecContext struct {
 	// fall back to fully dynamic handling. Schedulers that do not consume
 	// analyses ignore it.
 	CSAGs []*sag.CSAG
-	// Tracer, when non-nil and enabled, collects scheduler lifecycle events
-	// during execution. Schedulers without event instrumentation ignore it.
-	Tracer *telemetry.Tracer
+	// Log, when non-nil and enabled, receives the DMVCC schedule as one
+	// ordered event log per block (see internal/eventlog): the single record
+	// behind the Perfetto export, critical path, conflict post-mortem, C-SAG
+	// audit and deterministic replay. Other schedulers ignore it.
+	Log *eventlog.Log
 	// Metrics, when non-nil, receives the engine-level latency and counter
 	// observations of this execution.
 	Metrics *telemetry.Registry
-	// Forensics, when non-nil and enabled, collects per-item contention
-	// profiles, structured abort records, and the C-SAG accuracy audit.
-	// Only conflict-aware schedulers (DMVCC) feed it.
-	Forensics *telemetry.Forensics
 	// Faults, when non-nil and active, injects deterministic faults into the
 	// execution (chaos testing). Only the DMVCC scheduler consumes it; the
 	// serial baseline never injects, so degraded blocks always heal.
@@ -72,9 +71,6 @@ type ExecContext struct {
 	// Harden overrides the DMVCC failure-containment thresholds (nil keeps
 	// the defaults).
 	Harden *core.Hardening
-	// Recorder, when non-nil and enabled, captures the DMVCC schedule as an
-	// ordered event log (the flight recorder; see core.ScheduleRecorder).
-	Recorder *core.ScheduleRecorder
 	// Gate, when non-nil, forces a previously recorded interleaving back
 	// onto the DMVCC execution (deterministic replay; see core.Gate).
 	Gate core.Gate

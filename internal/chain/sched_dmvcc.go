@@ -33,13 +33,11 @@ func (s dmvccScheduler) Execute(ctx ExecContext) (*ExecOut, error) {
 		out.AnalysisTime = time.Since(start)
 	}
 	ex := core.NewExecutor(ctx.Registry, ctx.Threads)
-	ex.SetTracer(ctx.Tracer)
-	ex.SetForensics(ctx.Forensics)
+	ex.SetLog(ctx.Log)
 	ex.SetFaults(ctx.Faults)
 	if ctx.Harden != nil {
 		ex.SetHardening(*ctx.Harden)
 	}
-	ex.SetRecorder(ctx.Recorder)
 	ex.SetGate(ctx.Gate)
 	start := time.Now()
 	res, err := ex.ExecuteBlock(ctx.State, ctx.Block, ctx.Txs, csags)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dmvcc/internal/chain"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/workload"
 )
@@ -38,14 +39,12 @@ type Config struct {
 	SerialSecondsPer10k float64
 	// Seed drives mining-interval and validator-jitter randomness.
 	Seed int64
-	// Tracer, when non-nil and enabled, collects the scheduler events of the
-	// really-executed blocks (one telemetry block per simulated block).
-	Tracer *telemetry.Tracer
+	// Log, when non-nil and enabled, records the scheduler events of the
+	// really-executed blocks (DMVCC only) — the source of the run's traces
+	// and conflict post-mortems.
+	Log *eventlog.Log
 	// Metrics, when non-nil, accumulates the execution engine's metrics.
 	Metrics *telemetry.Registry
-	// Forensics, when non-nil and enabled, collects conflict forensics and
-	// the C-SAG accuracy audit of the really-executed blocks (DMVCC only).
-	Forensics *telemetry.Forensics
 	// Ledger, when non-nil and enabled, records per-stage occupancy
 	// intervals of the really-executed blocks (feeding a live
 	// /telemetry/timeline endpoint).
@@ -107,8 +106,7 @@ func NewSession(cfg Config, mode chain.Mode) (*Session, error) {
 		return nil, err
 	}
 	eng := chain.NewEngine(world.DB, world.Registry, 8,
-		chain.WithTracer(cfg.Tracer), chain.WithMetrics(cfg.Metrics),
-		chain.WithForensics(cfg.Forensics), chain.WithLedger(cfg.Ledger))
+		chain.WithLog(cfg.Log), chain.WithMetrics(cfg.Metrics), chain.WithLedger(cfg.Ledger))
 	s := &Session{cfg: cfg, mode: mode}
 	for b := 0; b < cfg.Blocks; b++ {
 		blockCtx := world.BlockContext()
@@ -131,15 +129,12 @@ func NewSession(cfg Config, mode chain.Mode) (*Session, error) {
 
 // PostMortems returns the conflict post-mortems of the session's really
 // executed blocks, in execution order. Empty unless the session ran with an
-// enabled Forensics collector under a conflict-aware scheduler.
+// enabled event log under a conflict-aware scheduler; blocks the log has
+// already evicted are skipped.
 func (s *Session) PostMortems() []*telemetry.PostMortem {
-	fx := s.cfg.Forensics
-	if !fx.Enabled() {
-		return nil
-	}
 	var pms []*telemetry.PostMortem
 	for _, art := range s.arts {
-		if pm := fx.PostMortem(int64(art.number)); pm != nil {
+		if pm := telemetry.BlockPostMortem(s.cfg.Log.Block(int64(art.number))); pm != nil {
 			pms = append(pms, pm)
 		}
 	}

@@ -3,10 +3,10 @@ package core
 import (
 	"bytes"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/sag"
-	"dmvcc/internal/telemetry"
 	"dmvcc/internal/types"
 	"dmvcc/internal/u256"
 )
@@ -100,8 +100,8 @@ type accessor struct {
 	events  []TraceEvent
 	intrins uint64
 
-	// worker is the pool goroutine executing this incarnation (telemetry
-	// track id); inFinish flags finish-time publishes so the tracer can
+	// worker is the pool goroutine executing this incarnation (the event
+	// log's track id); inFinish flags finish-time publishes so the log can
 	// distinguish them from early-write visibility.
 	worker   int
 	inFinish bool
@@ -376,7 +376,7 @@ func (a *accessor) readItem(id sag.ItemID) (u256.Int, error) {
 		// abort path relaunches it (the fresh incarnation draws its own
 		// fault decisions), so the block still converges.
 		a.forceStale = false
-		a.r.abortClassed(victim{tx: a.rt.idx, inc: a.inc, item: id, readSrc: -1}, a.rt.idx, telemetry.AbortInjected)
+		a.r.abortClassed(victim{tx: a.rt.idx, inc: a.inc, item: id, readSrc: -1}, a.rt.idx, eventlog.AbortInjected)
 		return u256.Int{}, evm.ErrAborted
 	}
 	seq := a.r.seq(id)
@@ -392,7 +392,7 @@ func (a *accessor) readItem(id sag.ItemID) (u256.Int, error) {
 			// the read has been performed and none after, so the resolution
 			// below cannot block; a blocked gated read means the schedule
 			// already diverged, and the claim is released before parking.
-			if !g.Await(OpRead, a.rt.idx, a.inc, id, a.deadFn) {
+			if !g.Await(eventlog.OpRead, a.rt.idx, a.inc, id, a.deadFn) {
 				seq.cancelWaiter(w)
 				return u256.Int{}, evm.ErrAborted
 			}
@@ -408,28 +408,28 @@ func (a *accessor) readItem(id sag.ItemID) (u256.Int, error) {
 		if res != readBlocked {
 			a.rt.noteReadMark(a.inc, id)
 			a.events = append(a.events, TraceEvent{Kind: TraceRead, Item: id, Offset: a.offset, Src: src, Val: val})
-			if fx := a.r.forensics; fx.Enabled() {
-				fx.RecordRead(id)
-			}
 			return val, nil
 		}
 		w = next
-		a.r.stats.addBlocked()
-		if fx := a.r.forensics; fx.Enabled() {
-			fx.RecordBlockedRead(id)
-		}
-		if tr := a.r.tracer; tr.Enabled() {
-			tr.Emit(telemetry.EvPark, a.rt.idx, a.inc, a.worker, id, w.blockedTx)
-		}
-		a.r.sched.yield()
-		select {
-		case <-w.ch:
-		case <-a.rt.abortChan(a.inc):
-		}
-		a.r.sched.reacquire(a.rt.idx)
-		if tr := a.r.tracer; tr.Enabled() {
-			tr.Emit(telemetry.EvResume, a.rt.idx, a.inc, a.worker, id, w.blockedTx)
-		}
+		a.park(id, w)
+	}
+}
+
+// park suspends this incarnation on w (yielding its execution slot) until
+// the pending version it blocked on changes or the incarnation is aborted.
+func (a *accessor) park(id sag.ItemID, w *seqWaiter) {
+	a.r.stats.addBlocked()
+	if lg := a.r.log; lg.Enabled() {
+		lg.Record(eventlog.OpPark, a.rt.idx, a.inc, a.worker, w.blockedTx, id, u256.Int{})
+	}
+	a.r.sched.yield()
+	select {
+	case <-w.ch:
+	case <-a.rt.abortChan(a.inc):
+	}
+	a.r.sched.reacquire(a.rt.idx)
+	if lg := a.r.log; lg.Enabled() {
+		lg.Record(eventlog.OpResume, a.rt.idx, a.inc, a.worker, w.blockedTx, id, u256.Int{})
 	}
 }
 
@@ -521,22 +521,7 @@ func (a *accessor) waitPriorWrites(id sag.ItemID) error {
 			return evm.ErrAborted // incarnation retired while registering
 		}
 		w = next
-		a.r.stats.addBlocked()
-		if fx := a.r.forensics; fx.Enabled() {
-			fx.RecordBlockedRead(id)
-		}
-		if tr := a.r.tracer; tr.Enabled() {
-			tr.Emit(telemetry.EvPark, a.rt.idx, a.inc, a.worker, id, w.blockedTx)
-		}
-		a.r.sched.yield()
-		select {
-		case <-w.ch:
-		case <-a.rt.abortChan(a.inc):
-		}
-		a.r.sched.reacquire(a.rt.idx)
-		if tr := a.r.tracer; tr.Enabled() {
-			tr.Emit(telemetry.EvResume, a.rt.idx, a.inc, a.worker, id, w.blockedTx)
-		}
+		a.park(id, w)
 	}
 }
 
@@ -766,11 +751,11 @@ func (a *accessor) earlyPublish() {
 // publishAbs inserts/updates this transaction's absolute version of id.
 func (a *accessor) publishAbs(id sag.ItemID, v u256.Int) error {
 	if g := a.r.gate; g != nil {
-		if !g.Await(OpPublish, a.rt.idx, a.inc, id, a.deadFn) {
+		if !g.Await(eventlog.OpPublish, a.rt.idx, a.inc, id, a.deadFn) {
 			return evm.ErrAborted
 		}
 	}
-	victims, err := a.rt.publish(a.r, a.inc, id, v, false)
+	victims, err := a.rt.publish(a.r, a.inc, a.worker, id, v, false, !a.inFinish)
 	if g := a.r.gate; g != nil {
 		g.Done()
 	}
@@ -782,16 +767,6 @@ func (a *accessor) publishAbs(id sag.ItemID, v u256.Int) error {
 	a.items[i].published = v
 	a.r.noteProgress()
 	a.events = append(a.events, TraceEvent{Kind: TraceWrite, Item: id, Offset: a.offset, Src: -1, Val: v})
-	if fx := a.r.forensics; fx.Enabled() {
-		fx.RecordWrite(id, !a.inFinish)
-	}
-	if tr := a.r.tracer; tr.Enabled() {
-		kind := telemetry.EvEarlyPublish
-		if a.inFinish {
-			kind = telemetry.EvPublish
-		}
-		tr.Emit(kind, a.rt.idx, a.inc, a.worker, id, -1)
-	}
 	for _, vic := range victims {
 		a.r.abort(vic, a.rt.idx)
 	}
@@ -802,11 +777,11 @@ func (a *accessor) publishAbs(id sag.ItemID, v u256.Int) error {
 // local pending amount (later increments accumulate on the same entry).
 func (a *accessor) publishDelta(id sag.ItemID, d u256.Int) error {
 	if g := a.r.gate; g != nil {
-		if !g.Await(OpDelta, a.rt.idx, a.inc, id, a.deadFn) {
+		if !g.Await(eventlog.OpDelta, a.rt.idx, a.inc, id, a.deadFn) {
 			return evm.ErrAborted
 		}
 	}
-	victims, err := a.rt.publish(a.r, a.inc, id, d, true)
+	victims, err := a.rt.publish(a.r, a.inc, a.worker, id, d, true, !a.inFinish)
 	if g := a.r.gate; g != nil {
 		g.Done()
 	}
@@ -820,12 +795,6 @@ func (a *accessor) publishDelta(id sag.ItemID, d u256.Int) error {
 	a.r.noteProgress()
 	a.events = append(a.events, TraceEvent{Kind: TraceDelta, Item: id, Offset: a.offset, Src: -1, Val: d})
 	a.r.stats.addDelta()
-	if fx := a.r.forensics; fx.Enabled() {
-		fx.RecordDelta(id)
-	}
-	if tr := a.r.tracer; tr.Enabled() {
-		tr.Emit(telemetry.EvDeltaPublish, a.rt.idx, a.inc, a.worker, id, -1)
-	}
 	for _, vic := range victims {
 		a.r.abort(vic, a.rt.idx)
 	}
@@ -870,7 +839,7 @@ func (a *accessor) finish(receipt *types.Receipt) bool {
 				return true
 			}
 			if g := a.r.gate; g != nil {
-				if !g.Await(OpDrop, a.rt.idx, a.inc, id, a.deadFn) {
+				if !g.Await(eventlog.OpDrop, a.rt.idx, a.inc, id, a.deadFn) {
 					return false
 				}
 			}
@@ -908,7 +877,7 @@ func (a *accessor) finish(receipt *types.Receipt) bool {
 		}
 	}
 	if g := a.r.gate; g != nil {
-		if !g.Await(OpCommit, a.rt.idx, a.inc, sag.ItemID{}, a.deadFn) {
+		if !g.Await(eventlog.OpCommit, a.rt.idx, a.inc, sag.ItemID{}, a.deadFn) {
 			return false
 		}
 		defer g.Done()
@@ -917,7 +886,7 @@ func (a *accessor) finish(receipt *types.Receipt) bool {
 	// the accessor back without it.
 	events := a.events
 	a.events = nil
-	return a.rt.complete(a.r, a.inc, receipt, &TxTrace{Gas: ExecCost(receipt.GasUsed, a.intrins), Events: events})
+	return a.rt.complete(a.r, a.inc, a.worker, receipt, &TxTrace{Gas: ExecCost(receipt.GasUsed, a.intrins), Events: events})
 }
 
 // itemLess orders ItemIDs (kind, address, slot) for deterministic iteration.

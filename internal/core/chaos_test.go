@@ -11,6 +11,7 @@ import (
 
 	"dmvcc/internal/baseline"
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/telemetry"
@@ -248,8 +249,8 @@ func TestWatchdogRecoversFromStall(t *testing.T) {
 // limit): after the configured recovery rounds fail to restore progress, the
 // watchdog trips the breaker and the block degrades to serial.
 func TestWatchdogTripsAfterRecoveries(t *testing.T) {
-	fx := telemetry.NewForensics()
-	fx.Enable()
+	events := eventlog.New()
+	events.Enable()
 
 	dbSerial, _ := fixture(t)
 	txs := chaosTxs(6)
@@ -274,7 +275,7 @@ func TestWatchdogTripsAfterRecoveries(t *testing.T) {
 		Delay: 30 * time.Second,
 		Rates: map[fault.Point]float64{fault.ExecDelay: 1.0},
 	}))
-	ex.SetForensics(fx)
+	ex.SetLog(events)
 	ex.SetHardening(core.Hardening{StallTimeout: 50 * time.Millisecond, StallRecoveries: 1})
 	res, err := ex.ExecuteBlock(db, blk, txs, csags)
 	if err != nil {
@@ -296,7 +297,8 @@ func TestWatchdogTripsAfterRecoveries(t *testing.T) {
 
 	// The watchdog dumped diagnostics: parked-waiter/pool snapshots under
 	// /telemetry and the degradation reason in the post-mortem.
-	stalls := fx.Stalls(int64(blk.Number))
+	record := events.Block(int64(blk.Number))
+	stalls := telemetry.Stalls(record)
 	if len(stalls) < 2 {
 		t.Fatalf("stall reports = %d, want >= 2", len(stalls))
 	}
@@ -308,7 +310,7 @@ func TestWatchdogTripsAfterRecoveries(t *testing.T) {
 			t.Errorf("stall report %d lists no pending txs", i)
 		}
 	}
-	pm := fx.PostMortem(int64(blk.Number))
+	pm := telemetry.BlockPostMortem(record)
 	if pm == nil || pm.Degraded == "" || pm.Stalls != len(stalls) {
 		t.Fatalf("post-mortem = %+v, want degraded reason and %d stalls", pm, len(stalls))
 	}
@@ -317,11 +319,11 @@ func TestWatchdogTripsAfterRecoveries(t *testing.T) {
 	}
 }
 
-// TestChaosDegradedForensics pins that a breaker trip lands in the
-// forensics degradation mark (the /metrics + post-mortem surfacing path).
+// TestChaosDegradedForensics pins that a breaker trip lands in the event
+// log's degradation mark (the /metrics + post-mortem surfacing path).
 func TestChaosDegradedForensics(t *testing.T) {
-	fx := telemetry.NewForensics()
-	fx.Enable()
+	events := eventlog.New()
+	events.Enable()
 	db, reg := fixture(t)
 	txs := chaosTxs(12)
 	an := sag.NewAnalyzer(reg)
@@ -331,7 +333,7 @@ func TestChaosDegradedForensics(t *testing.T) {
 	}
 	ex := core.NewExecutor(reg, 4)
 	ex.SetFaults(fault.New(fault.Config{Seed: 47, Rates: map[fault.Point]float64{fault.SnapshotStale: 1.0}}))
-	ex.SetForensics(fx)
+	ex.SetLog(events)
 	ex.SetHardening(core.Hardening{MaxTxIncarnations: 3})
 	res, err := ex.ExecuteBlock(db, blk, txs, csags)
 	if err != nil {
@@ -340,8 +342,8 @@ func TestChaosDegradedForensics(t *testing.T) {
 	if !res.Stats.Degraded {
 		t.Fatalf("expected degradation, got %+v", res.Stats)
 	}
-	if got := fx.Degraded(int64(blk.Number)); got != res.Stats.DegradeReason {
-		t.Errorf("forensics degraded mark %q != stats reason %q", got, res.Stats.DegradeReason)
+	if got := events.Block(int64(blk.Number)).Degraded; got != res.Stats.DegradeReason {
+		t.Errorf("event log degraded mark %q != stats reason %q", got, res.Stats.DegradeReason)
 	}
 
 	reg2 := telemetry.NewRegistry()
@@ -426,7 +428,7 @@ func TestChaosDeterministicFaultPlan(t *testing.T) {
 	}
 }
 
-// benchExecuteFaults mirrors benchExecuteForensics for the fault layer.
+// benchExecuteFaults mirrors benchExecuteEvents for the fault layer.
 func benchExecuteFaults(b *testing.B, in *fault.Injector) {
 	b.Helper()
 	txs := benchTxs()

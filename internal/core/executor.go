@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
 	"dmvcc/internal/fault"
 	"dmvcc/internal/sag"
@@ -170,29 +171,22 @@ type Options struct {
 // Executor schedules block execution under DMVCC. It is reusable across
 // blocks; each ExecuteBlock call is independent.
 type Executor struct {
-	reg       *sag.Registry
-	threads   int
-	opts      Options
-	tracer    *telemetry.Tracer
-	forensics *telemetry.Forensics
-	faults    *fault.Injector
-	hard      Hardening
-	maxBatch  int // dispatch run-length cap override (0 = default; tests)
-	rec       *ScheduleRecorder
-	gate      Gate
+	reg      *sag.Registry
+	threads  int
+	opts     Options
+	log      *eventlog.Log
+	faults   *fault.Injector
+	hard     Hardening
+	maxBatch int // dispatch run-length cap override (0 = default; tests)
+	gate     Gate
 }
 
-// SetTracer attaches a telemetry tracer to subsequent executions. A nil or
-// disabled tracer costs one predicted branch per potential event (see the
-// telemetry-disabled overhead benchmark).
-func (x *Executor) SetTracer(tr *telemetry.Tracer) { x.tracer = tr }
-
-// SetForensics attaches a conflict-forensics collector to subsequent
-// executions: per-item contention profiles, structured abort records, and
-// the end-of-block C-SAG accuracy audit. Follows the tracer's cost
-// discipline — nil or disabled collectors cost one atomic load per
-// potential record (pinned by the forensics-disabled overhead benchmark).
-func (x *Executor) SetForensics(fx *telemetry.Forensics) { x.forensics = fx }
+// SetLog attaches the scheduler event log to subsequent executions: while it
+// is enabled every schedule-relevant action is appended to it, and the
+// end-of-block C-SAG audit is attached to the block's record. A nil or
+// disabled log costs one atomic load per potential event (pinned by
+// BenchmarkEventsDisabled).
+func (x *Executor) SetLog(l *eventlog.Log) { x.log = l }
 
 // SetFaults attaches a fault injector to subsequent executions (chaos
 // testing). A nil injector — the production configuration — costs one
@@ -202,11 +196,6 @@ func (x *Executor) SetFaults(in *fault.Injector) { x.faults = in }
 // SetHardening overrides the failure-containment thresholds (zero-value
 // fields keep their defaults; see Hardening).
 func (x *Executor) SetHardening(h Hardening) { x.hard = h }
-
-// SetRecorder attaches a schedule flight recorder to subsequent executions.
-// A nil or disabled recorder costs one atomic load per potential event
-// (pinned by BenchmarkRecorderDisabled).
-func (x *Executor) SetRecorder(rc *ScheduleRecorder) { x.rec = rc }
 
 // SetGate attaches a replay gate: every gated scheduler action (dispatch,
 // read, publish, drop, abort, commit) waits for its recorded turn before
@@ -282,7 +271,7 @@ func (rt *txRuntime) noteReadMark(inc int, id sag.ItemID) {
 // publish performs a versionWrite on behalf of incarnation inc, recording
 // the published item for abort-time cleanup. It fails with ErrAborted if
 // the incarnation is no longer current.
-func (rt *txRuntime) publish(r *run, inc int, id sag.ItemID, v u256.Int, delta bool) ([]victim, error) {
+func (rt *txRuntime) publish(r *run, inc, worker int, id sag.ItemID, v u256.Int, delta, early bool) ([]victim, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if int(rt.inc.Load()) != inc {
@@ -296,7 +285,7 @@ func (rt *txRuntime) publish(r *run, inc int, id sag.ItemID, v u256.Int, delta b
 		rt.published = make([]sag.ItemID, 0, n)
 	}
 	rt.published = append(rt.published, id)
-	return r.seq(id).versionWrite(rt.idx, inc, v, delta), nil
+	return r.seq(id).versionWrite(rt.idx, inc, worker, v, delta, early), nil
 }
 
 // dropUnperformed marks a predicted write that never happened as dropped.
@@ -310,7 +299,7 @@ func (rt *txRuntime) dropUnperformed(r *run, inc int, id sag.ItemID) ([]victim, 
 }
 
 // complete records the final receipt and trace of incarnation inc.
-func (rt *txRuntime) complete(r *run, inc int, receipt *types.Receipt, trace *TxTrace) bool {
+func (rt *txRuntime) complete(r *run, inc, worker int, receipt *types.Receipt, trace *TxTrace) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if int(rt.inc.Load()) != inc {
@@ -319,8 +308,8 @@ func (rt *txRuntime) complete(r *run, inc int, receipt *types.Receipt, trace *Tx
 	rt.finished = true
 	rt.receipt = receipt
 	rt.trace = trace
-	if r.rec.Enabled() {
-		r.rec.RecordMark(OpCommit, rt.idx, inc)
+	if lg := r.log; lg.Enabled() {
+		lg.Record(eventlog.OpCommit, rt.idx, inc, worker, -1, sag.ItemID{}, u256.Int{})
 	}
 	return true
 }
@@ -385,18 +374,17 @@ type run struct {
 	codeMu sync.Mutex
 	codes  map[types.Hash][]byte
 
-	opts      Options
-	tracer    *telemetry.Tracer
-	forensics *telemetry.Forensics
-	faults    *fault.Injector
-	hard      Hardening
-	rec       *ScheduleRecorder
-	gate      Gate
+	opts   Options
+	log    *eventlog.Log
+	faults *fault.Injector
+	hard   Hardening
+	gate   Gate
 
-	stats  statCounters
-	wasted atomic.Uint64
-	errMu  sync.Mutex
-	err    error
+	stats    statCounters
+	wasted   atomic.Uint64
+	cascades atomic.Int32 // cascade ids handed out to abort events
+	errMu    sync.Mutex
+	err      error
 
 	// Failure containment (see harden.go): progress feeds the stall
 	// watchdog; cancelled flags a circuit-breaker drain (aborts stop
@@ -428,7 +416,7 @@ func (r *run) seq(id sag.ItemID) *sequence {
 	}
 	s = sh.newSeqLocked(id)
 	s.onWake = r.noteWake
-	s.rec = r.rec
+	s.log = r.log
 	sh.m[id] = s
 	return s
 }
@@ -473,7 +461,7 @@ func (r *run) fail(err error) {
 	}
 	r.errMu.Unlock()
 	if r.cancelled.CompareAndSwap(false, true) {
-		r.drainAll(telemetry.AbortForced)
+		r.drainAll(eventlog.AbortForced)
 	}
 }
 
@@ -484,6 +472,24 @@ type abortWork struct {
 	v      victim
 	cause  int
 	parent int
+}
+
+// abortClass classifies one worklist entry: roots from the stale read's
+// provenance (or the forced class), worklist descendants as cascade
+// collateral.
+func abortClass(w abortWork, rootClass eventlog.AbortClass) eventlog.AbortClass {
+	switch {
+	case w.parent >= 0:
+		return eventlog.AbortCascade
+	case rootClass != 0:
+		return rootClass
+	case !w.v.predicted:
+		return eventlog.AbortUnpredictedWrite
+	case w.v.readSrc < 0:
+		return eventlog.AbortSnapshotStale
+	default:
+		return eventlog.AbortStaleVersion
+	}
 }
 
 // abort implements Algorithm 4 plus cascade processing: each victim's
@@ -501,10 +507,9 @@ func (r *run) abort(first victim, cause int) {
 // abortClassed is abort with a forced root classification (forced aborts:
 // fault injection, watchdog recovery, breaker drains); rootClass 0 derives
 // the class from the stale read's provenance as usual.
-func (r *run) abortClassed(first victim, cause int, rootClass telemetry.AbortClass) {
+func (r *run) abortClassed(first victim, cause int, rootClass eventlog.AbortClass) {
 	work := []abortWork{{v: first, cause: cause, parent: -1}}
-	fx := r.forensics
-	cascade := -1 // forensic cascade id, allocated on the first real victim
+	cascade := -1 // cascade id, allocated on the first real victim
 	for len(work) > 0 {
 		w := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -515,7 +520,7 @@ func (r *run) abortClassed(first victim, cause int, rootClass telemetry.AbortCla
 			// Replay: claim the victim's recorded abort slot before retiring
 			// it. A false return means the incarnation is already retired
 			// (a concurrent cascade won) — same outcome as the inc check.
-			if !g.Await(OpAbort, v.tx, v.inc, sag.ItemID{}, func() bool { return rt.curInc() != v.inc }) {
+			if !g.Await(eventlog.OpAbort, v.tx, v.inc, sag.ItemID{}, func() bool { return rt.curInc() != v.inc }) {
 				continue
 			}
 		}
@@ -530,10 +535,15 @@ func (r *run) abortClassed(first victim, cause int, rootClass telemetry.AbortCla
 		published := rt.published
 		readMarks := rt.readMarks
 		started := rt.started
-		finished := rt.finished
-		receipt := rt.receipt
 		oldInc := v.inc
 		newInc := oldInc + 1
+		var wasted uint64
+		if rt.finished && rt.receipt != nil {
+			// The incarnation had fully executed; all of its work is wasted.
+			// (Incarnations killed mid-flight account their partial gas
+			// themselves when they observe the abort.)
+			wasted = ExecCost(rt.receipt.GasUsed, evm.IntrinsicGas(rt.tx.Data))
+		}
 		rt.inc.Store(int64(newInc))
 		close(rt.abortCh)
 		rt.abortCh = make(chan struct{})
@@ -542,8 +552,21 @@ func (r *run) abortClassed(first victim, cause int, rootClass telemetry.AbortCla
 		rt.started = false
 		rt.finished = false
 		rt.receipt = nil
-		if r.rec.Enabled() {
-			r.rec.Record(OpAbort, v.tx, v.inc, -1, w.cause, v.item, u256.Int{})
+		if lg := r.log; lg.Enabled() {
+			// One event per retired incarnation, stamped in the same section
+			// that retires it, so abort events always account for 100% of
+			// Stats.Aborts.
+			if cascade < 0 {
+				cascade = int(r.cascades.Add(1)) - 1
+			}
+			lg.Append(eventlog.Event{
+				Op: eventlog.OpAbort, Tx: int32(v.tx), Inc: int32(oldInc), Worker: -1,
+				Src: int32(w.cause), Item: v.item, Gas: wasted,
+				Abort: &eventlog.AbortInfo{
+					Class: abortClass(w, rootClass), Cascade: int32(cascade), Parent: int32(w.parent),
+					WriterInc: int32(v.writerInc), ReadSrc: int32(v.readSrc),
+				},
+			})
 		}
 		rt.mu.Unlock()
 		if g := r.gate; g != nil {
@@ -553,45 +576,8 @@ func (r *run) abortClassed(first victim, cause int, rootClass telemetry.AbortCla
 		r.stats.aborts.Add(1)
 		r.stats.noteIncarnation(newInc)
 		r.noteProgress()
-		var wasted uint64
-		if finished && receipt != nil {
-			// The incarnation had fully executed; all of its work is wasted.
-			// (Incarnations killed mid-flight account their partial gas
-			// themselves when they observe the abort.)
-			wasted = ExecCost(receipt.GasUsed, evm.IntrinsicGas(rt.tx.Data))
+		if wasted > 0 {
 			r.noteWasted(wasted)
-		}
-		if tr := r.tracer; tr.Enabled() {
-			tr.Emit(telemetry.EvAbort, v.tx, oldInc, -1, sag.ItemID{}, w.cause)
-		}
-		if fx.Enabled() {
-			// One record per retired incarnation, emitted at the same site
-			// that bumps Stats.Aborts, so records always account for 100%
-			// of the counter. Roots are classified from the stale read's
-			// provenance; worklist descendants are cascade collateral.
-			if cascade < 0 {
-				cascade = fx.NextCascade()
-			}
-			class := telemetry.AbortCascade
-			if w.parent < 0 {
-				switch {
-				case rootClass != 0:
-					class = rootClass
-				case !v.predicted:
-					class = telemetry.AbortUnpredictedWrite
-				case v.readSrc < 0:
-					class = telemetry.AbortSnapshotStale
-				default:
-					class = telemetry.AbortStaleVersion
-				}
-			}
-			fx.RecordAbort(telemetry.AbortRecord{
-				Tx: v.tx, Inc: oldInc,
-				Cascade: cascade, Parent: w.parent,
-				CauseTx: w.cause, WriterInc: v.writerInc,
-				Item: v.item, ReadSrcTx: v.readSrc,
-				Class: class, WastedGas: wasted,
-			})
 		}
 
 		// Drop visible writes; push cascading victims onto the worklist.
@@ -600,7 +586,7 @@ func (r *run) abortClassed(first victim, cause int, rootClass telemetry.AbortCla
 		// incarnation is already retired, the drops must always perform).
 		for _, id := range published {
 			if g := r.gate; g != nil {
-				g.Await(OpDrop, v.tx, oldInc, id, nil)
+				g.Await(eventlog.OpDrop, v.tx, oldInc, id, nil)
 			}
 			cvs := r.seq(id).dropVersion(v.tx, oldInc)
 			if g := r.gate; g != nil {
@@ -651,15 +637,15 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 	rt.mu.Lock()
 	inc := int(rt.inc.Load())
 	rt.started = true
-	if r.rec.Enabled() {
-		r.rec.Record(OpDispatch, rt.idx, inc, worker, -1, sag.ItemID{}, u256.Int{})
+	if lg := r.log; lg.Enabled() {
+		lg.Record(eventlog.OpDispatch, rt.idx, inc, worker, -1, sag.ItemID{}, u256.Int{})
 	}
 	rt.mu.Unlock()
 	if g := r.gate; g != nil {
 		// Replay: wait for this incarnation's recorded dispatch turn. A
 		// false return means it was retired while queued — the aborter
 		// already arranged the successor's dispatch, so just return.
-		if !g.Await(OpDispatch, rt.idx, inc, sag.ItemID{}, func() bool { return rt.curInc() != inc }) {
+		if !g.Await(eventlog.OpDispatch, rt.idx, inc, sag.ItemID{}, func() bool { return rt.curInc() != inc }) {
 			return
 		}
 		g.Done()
@@ -692,20 +678,13 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 	acc = newAccessor(r, rt, inc)
 	acc.worker = worker
 	acc.snapCache = r.workerCacheFor(worker)
-	if tr := r.tracer; tr.Enabled() {
-		tr.Emit(telemetry.EvDispatch, rt.idx, inc, worker, sag.ItemID{}, -1)
-	}
 
 	receipt, err := evm.ApplyTransaction(acc, r.block, rt.tx, rt.idx, acc.hook)
 	if err != nil {
 		if errors.Is(err, evm.ErrAborted) {
 			// Work thrown away with this incarnation: the partial gas consumed
 			// up to the abort, floored at the dispatch cost.
-			w := wastedOf(acc)
-			r.noteWasted(w)
-			if fx := r.forensics; fx.Enabled() {
-				fx.AttributeWasted(rt.idx, inc, w)
-			}
+			r.notePartialWaste(rt, inc, acc)
 			return // the aborter relaunches
 		}
 		r.fail(fmt.Errorf("core: tx %d: %w", rt.idx, err))
@@ -714,17 +693,10 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 	if !acc.finish(receipt) {
 		// Aborted during finish; relaunch in flight. The incarnation never
 		// reached complete(), so the abort path did not account its work.
-		w := wastedOf(acc)
-		r.noteWasted(w)
-		if fx := r.forensics; fx.Enabled() {
-			fx.AttributeWasted(rt.idx, inc, w)
-		}
+		r.notePartialWaste(rt, inc, acc)
 		return
 	}
 	r.noteProgress()
-	if tr := r.tracer; tr.Enabled() {
-		tr.Emit(telemetry.EvCommit, rt.idx, inc, worker, sag.ItemID{}, -1)
-	}
 }
 
 // ExecuteBlock runs the transactions of a block in parallel under DMVCC
@@ -733,21 +705,19 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 // SAGs are handled fully dynamically, per the paper's workflow).
 func (x *Executor) ExecuteBlock(snap state.Reader, block evm.BlockContext, txs []*types.Transaction, csags []*sag.CSAG) (*Result, error) {
 	r := &run{
-		x:         x,
-		reg:       x.reg,
-		snap:      snap,
-		block:     block,
-		codes:     make(map[types.Hash][]byte),
-		opts:      x.opts,
-		tracer:    x.tracer,
-		forensics: x.forensics,
-		faults:    x.faults,
-		hard:      x.hard.withDefaults(),
-		rec:       x.rec,
-		gate:      x.gate,
+		x:      x,
+		reg:    x.reg,
+		snap:   snap,
+		block:  block,
+		codes:  make(map[types.Hash][]byte),
+		opts:   x.opts,
+		log:    x.log,
+		faults: x.faults,
+		hard:   x.hard.withDefaults(),
+		gate:   x.gate,
 	}
-	if fx := x.forensics; fx.Enabled() {
-		fx.BeginBlock(int64(block.Number), len(txs))
+	if lg := x.log; lg.Enabled() {
+		lg.Begin(int64(block.Number), len(txs))
 	}
 	if in := x.faults; in.Enabled() {
 		// C-SAG corruption faults: deterministically drop predicted entries
@@ -875,12 +845,13 @@ func (x *Executor) ExecuteBlock(snap state.Reader, block evm.BlockContext, txs [
 			return nil, fmt.Errorf("core: tx %d finished without a receipt", i)
 		}
 	}
-	if fx := x.forensics; fx.Enabled() {
+	if lg := x.log; lg.Enabled() {
 		// Score the C-SAG predictions against the committed access logs and
-		// attach the audit to the block's forensics. Entirely off the hot
-		// path: both inputs already exist (predictions from the analysis,
-		// actual sets from the committed traces).
-		fx.CompleteBlock(int64(block.Number), auditPredictions(len(txs), csags), auditAccessLogs(traces, receipts))
+		// attach the audit to the block's record. Entirely off the hot path:
+		// the inputs already exist (predictions from the analysis, actual
+		// sets from the committed traces, aborts from the log itself).
+		n := int64(block.Number)
+		lg.AddReport(n, telemetry.AuditBlock(n, auditPredictions(len(txs), csags), auditAccessLogs(traces, receipts), lg.Events(n)))
 	}
 	return &Result{
 		Receipts:  receipts,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/types"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestForensicsExplainsEveryAbort runs the unpredicted-write cascade workload
-// with a forensics collector attached and checks the accounting contract end
+// with the event log attached and checks the accounting contract end
 // to end: every abort the scheduler counts has exactly one structured record,
 // every record is fully classified, the cascade trees partition the records,
 // and the wasted gas attributed to records equals the executor's total.
@@ -33,10 +34,10 @@ func TestForensicsExplainsEveryAbort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx := telemetry.NewForensics()
-		fx.Enable()
+		events := eventlog.New()
+		events.Enable()
 		ex := core.NewExecutor(reg, 16)
-		ex.SetForensics(fx)
+		ex.SetLog(events)
 		res, err := ex.ExecuteBlock(db, blk, txs, csags)
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +46,8 @@ func TestForensicsExplainsEveryAbort(t *testing.T) {
 			continue // lucky schedule; retry for a contended one
 		}
 
-		recs := fx.AbortRecords(int64(blk.Number))
+		record := events.Block(int64(blk.Number))
+		recs := telemetry.AbortRecords(record.Events)
 		if int64(len(recs)) != res.Stats.Aborts {
 			t.Fatalf("%d abort records != %d scheduler aborts", len(recs), res.Stats.Aborts)
 		}
@@ -88,7 +90,7 @@ func TestForensicsExplainsEveryAbort(t *testing.T) {
 			t.Fatalf("MaxIncarnation %d at the default breaker cap without degrading", res.Stats.MaxIncarnation)
 		}
 
-		pm := fx.PostMortem(int64(blk.Number))
+		pm := telemetry.BlockPostMortem(record)
 		if pm == nil {
 			t.Fatal("no post-mortem for the executed block")
 		}
@@ -118,7 +120,7 @@ func TestForensicsExplainsEveryAbort(t *testing.T) {
 }
 
 // TestForensicsCleanBlockAudit pins the other side of the contract: on an
-// uncontended block the collector still produces a post-mortem, with zero
+// uncontended block the log still yields a post-mortem, with zero
 // aborts, no cascades, and a perfect-recall audit.
 func TestForensicsCleanBlockAudit(t *testing.T) {
 	txs := []*types.Transaction{
@@ -132,10 +134,10 @@ func TestForensicsCleanBlockAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := telemetry.NewForensics()
-	fx.Enable()
+	events := eventlog.New()
+	events.Enable()
 	ex := core.NewExecutor(reg, 4)
-	ex.SetForensics(fx)
+	ex.SetLog(events)
 	res, err := ex.ExecuteBlock(db, blk, txs, csags)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +145,7 @@ func TestForensicsCleanBlockAudit(t *testing.T) {
 	if res.Stats.Aborts != 0 {
 		t.Fatalf("independent txs aborted %d times", res.Stats.Aborts)
 	}
-	pm := fx.PostMortem(int64(blk.Number))
+	pm := telemetry.BlockPostMortem(events.Block(int64(blk.Number)))
 	if pm == nil {
 		t.Fatal("no post-mortem")
 	}
@@ -160,48 +162,4 @@ func TestForensicsCleanBlockAudit(t *testing.T) {
 		t.Fatalf("audit recall = %v/%v, want 1/1",
 			pm.Audit.Reads.Recall, pm.Audit.Writes.Recall)
 	}
-}
-
-// benchExecuteForensics mirrors benchExecute with a forensics collector
-// attached instead of a tracer.
-func benchExecuteForensics(b *testing.B, fx *telemetry.Forensics) {
-	b.Helper()
-	txs := benchTxs()
-	db, reg := fixture(b)
-	an := sag.NewAnalyzer(reg)
-	csags, err := an.AnalyzeBlock(txs, db, blk)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := core.NewExecutor(reg, 8)
-	ex.SetForensics(fx)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.ExecuteBlock(db, blk, txs, csags); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkForensicsNone is the baseline: no collector attached, the
-// Enabled() guard is a nil check.
-func BenchmarkForensicsNone(b *testing.B) {
-	benchExecuteForensics(b, nil)
-}
-
-// BenchmarkForensicsDisabled attaches a collector but leaves it disabled:
-// every hook pays one atomic-flag load and nothing else. The contract
-// (package doc of internal/telemetry) is that this stays within 2% of
-// BenchmarkForensicsNone.
-func BenchmarkForensicsDisabled(b *testing.B) {
-	benchExecuteForensics(b, telemetry.NewForensics())
-}
-
-// BenchmarkForensicsEnabled bounds the cost of full conflict accounting and
-// auditing, for comparison (not part of the <2% contract).
-func BenchmarkForensicsEnabled(b *testing.B) {
-	fx := telemetry.NewForensics()
-	fx.Enable()
-	b.Cleanup(fx.Reset)
-	benchExecuteForensics(b, fx)
 }

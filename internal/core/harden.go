@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"dmvcc/internal/baseline"
+	"dmvcc/internal/eventlog"
+	"dmvcc/internal/sag"
 	"dmvcc/internal/telemetry"
 	"dmvcc/internal/types"
+	"dmvcc/internal/u256"
 )
 
 // ErrCircuitBreaker reports a breaker trip when serial fallback is disabled.
@@ -75,16 +78,14 @@ func (r *run) trip(reason string) {
 	r.reasonMu.Lock()
 	r.reason = reason
 	r.reasonMu.Unlock()
-	if fx := r.forensics; fx.Enabled() {
-		fx.RecordDegrade(int64(r.block.Number), reason)
-	}
-	if r.rec.Enabled() {
+	if lg := r.log; lg.Enabled() {
 		// Breaker trips make the schedule non-replayable (the serial
 		// fallback has no parallel schedule); the marker tells the capture
 		// layer to refuse the block.
-		r.rec.RecordMark(OpBreaker, -1, 0)
+		lg.Record(eventlog.OpBreaker, -1, 0, -1, -1, sag.ItemID{}, u256.Int{})
+		lg.SetDegraded(int64(r.block.Number), reason)
 	}
-	r.drainAll(telemetry.AbortForced)
+	r.drainAll(eventlog.AbortForced)
 }
 
 // tripReason returns the breaker reason ("" if it never fired).
@@ -112,7 +113,7 @@ func (r *run) noteProgress() { r.progress.Add(1) }
 // given class). With cancellation set this retires them for good; without
 // (watchdog recovery) each aborted transaction relaunches fresh — spurious
 // aborts are always correctness-safe under DMVCC.
-func (r *run) drainAll(class telemetry.AbortClass) {
+func (r *run) drainAll(class eventlog.AbortClass) {
 	for _, rt := range r.rts {
 		rt.mu.Lock()
 		inc := int(rt.inc.Load())
@@ -133,11 +134,19 @@ func (r *run) drainAll(class telemetry.AbortClass) {
 // machinery are contained best-effort the same way.
 func (r *run) containPanic(rt *txRuntime, inc int, acc *accessor, p any) {
 	r.stats.panics.Add(1)
-	if fx := r.forensics; fx.Enabled() {
-		fx.AttributeWasted(rt.idx, inc, wastedOf(acc))
+	r.notePartialWaste(rt, inc, acc)
+	r.abortClassed(victim{tx: rt.idx, inc: inc, readSrc: -1}, rt.idx, eventlog.AbortInjected)
+}
+
+// notePartialWaste accounts the work thrown away by an incarnation that died
+// mid-flight. Its abort event is stamped by the aborter, which can run on
+// either side of this; readers join the two on (tx, inc).
+func (r *run) notePartialWaste(rt *txRuntime, inc int, acc *accessor) {
+	w := wastedOf(acc)
+	if lg := r.log; lg.Enabled() {
+		lg.Append(eventlog.Event{Op: eventlog.OpWasted, Tx: int32(rt.idx), Inc: int32(inc), Worker: -1, Src: -1, Gas: w})
 	}
-	r.noteWasted(wastedOf(acc))
-	r.abortClassed(victim{tx: rt.idx, inc: inc, readSrc: -1}, rt.idx, telemetry.AbortInjected)
+	r.noteWasted(w)
 }
 
 // wastedOf is the partial-progress waste of an incarnation that died
@@ -169,8 +178,8 @@ func (r *run) startWatchdog() func() {
 }
 
 // watchdog is the per-block stall detector: if the progress counter freezes
-// for a full deadline, it dumps pool + sequence diagnostics through the
-// forensics collector and force-aborts every live incarnation (they relaunch
+// for a full deadline, it dumps pool + sequence diagnostics into the event
+// log and force-aborts every live incarnation (they relaunch
 // fresh). After StallRecoveries fruitless rounds it trips the breaker.
 func (r *run) watchdog(stop <-chan struct{}) {
 	d := r.hard.StallTimeout
@@ -194,20 +203,17 @@ func (r *run) watchdog(stop <-chan struct{}) {
 		}
 		attempt++
 		r.stats.stallRecoveries.Add(1)
-		if r.rec.Enabled() {
+		if lg := r.log; lg.Enabled() {
 			// Watchdog recovery rounds are wall-clock driven, not schedule
 			// driven — a capture containing one is refused for replay.
-			r.rec.RecordMark(OpWatchdog, -1, attempt)
-		}
-		rep := r.stallReport(attempt)
-		if fx := r.forensics; fx.Enabled() {
-			fx.RecordStall(rep)
+			lg.Record(eventlog.OpWatchdog, -1, attempt, -1, -1, sag.ItemID{}, u256.Int{})
+			lg.AddReport(int64(r.block.Number), r.stallReport(attempt))
 		}
 		if attempt > r.hard.StallRecoveries {
 			r.trip(fmt.Sprintf("stall: no scheduler progress after %d forced recoveries", attempt-1))
 			return
 		}
-		r.drainAll(telemetry.AbortWatchdog)
+		r.drainAll(eventlog.AbortWatchdog)
 		last = r.progress.Load()
 		timer.Reset(d)
 	}

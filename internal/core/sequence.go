@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/u256"
 )
@@ -66,8 +67,8 @@ type entry struct {
 	readDone bool
 	readInc  int
 	// readSrcTx is the transaction whose version the completed read
-	// observed (-1 when it resolved from the committed snapshot). Forensics
-	// uses it to classify the abort when the read later goes stale.
+	// observed (-1 when it resolved from the committed snapshot). The abort
+	// path uses it to classify the abort when the read later goes stale.
 	readSrcTx int
 }
 
@@ -118,10 +119,10 @@ type sequence struct {
 	// must be non-blocking (atomic counter bumps only).
 	onWake func(readerTx, blockedTx, mutTx int)
 
-	// rec, when enabled, stamps every resolved read, publish and drop into
-	// the flight recorder from under s.mu, so the log order is consistent
-	// with what concurrent readers of this item actually observed.
-	rec *ScheduleRecorder
+	// log, when enabled, receives every resolved read, publish and drop,
+	// stamped from under s.mu, so the log order is consistent with what
+	// concurrent readers of this item actually observed.
+	log *eventlog.Log
 }
 
 func newSequence(id sag.ItemID) *sequence {
@@ -225,8 +226,8 @@ func (s *sequence) tryRead(tx, inc int, snapBase u256.Int, aborted func() bool, 
 			var val u256.Int
 			val.Add(&e.value, &deltas)
 			s.markRead(tx, inc, e.tx)
-			if s.rec.Enabled() {
-				s.rec.Record(OpRead, tx, inc, -1, e.tx, s.id, val)
+			if lg := s.log; lg.Enabled() {
+				lg.Record(eventlog.OpRead, tx, inc, -1, e.tx, s.id, val)
 			}
 			return val, readOK, e.tx, nil
 		}
@@ -234,8 +235,8 @@ func (s *sequence) tryRead(tx, inc int, snapBase u256.Int, aborted func() bool, 
 	var val u256.Int
 	val.Add(&snapBase, &deltas)
 	s.markRead(tx, inc, -1)
-	if s.rec.Enabled() {
-		s.rec.Record(OpRead, tx, inc, -1, -1, s.id, val)
+	if lg := s.log; lg.Enabled() {
+		lg.Record(eventlog.OpRead, tx, inc, -1, -1, s.id, val)
 	}
 	return val, readNeedSnapshot, -1, nil
 }
@@ -347,8 +348,9 @@ func (s *sequence) priorWritesPending(tx int, aborted func() bool, prev *seqWait
 // upgraded/inserted, its value set, waiters woken, and the completed reads
 // of later transactions that observed an older version are returned as
 // abort victims. delta selects ω̄ semantics (deltas accumulate and never
-// invalidate other deltas).
-func (s *sequence) versionWrite(tx, inc int, val u256.Int, delta bool) []victim {
+// invalidate other deltas). worker and early only label the logged event:
+// who published, and whether at a release point rather than at finish.
+func (s *sequence) versionWrite(tx, inc, worker int, val u256.Int, delta, early bool) []victim {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -376,12 +378,12 @@ func (s *sequence) versionWrite(tx, inc int, val u256.Int, delta bool) []victim 
 	e.status = statusDone
 	e.writeInc = inc
 
-	if s.rec.Enabled() {
-		op := OpPublish
+	if lg := s.log; lg.Enabled() {
+		op := eventlog.OpPublish
 		if delta {
-			op = OpDelta
+			op = eventlog.OpDelta
 		}
-		s.rec.Record(op, tx, inc, -1, -1, s.id, val)
+		lg.Append(eventlog.Event{Op: op, Early: early, Tx: int32(tx), Inc: int32(inc), Worker: int32(worker), Src: -1, Item: s.id, Val: val})
 	}
 	s.notify(tx)
 	// A completed read positioned after this version observed an older one
@@ -446,8 +448,8 @@ func (s *sequence) dropVersion(tx, inc int) []victim {
 	// Recorded at the top, unconditionally: the replayer gates each
 	// dropVersion call, so the log must carry one event per call — even
 	// calls that find nothing to invalidate.
-	if s.rec.Enabled() {
-		s.rec.Record(OpDrop, tx, inc, -1, -1, s.id, u256.Int{})
+	if lg := s.log; lg.Enabled() {
+		lg.Record(eventlog.OpDrop, tx, inc, -1, -1, s.id, u256.Int{})
 	}
 	i, ok := s.find(tx)
 	if !ok {

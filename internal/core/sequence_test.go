@@ -37,7 +37,7 @@ func TestSequenceReadBlocksOnPendingWrite(t *testing.T) {
 		t.Errorf("waiter parked on tx %d, want 1", w.blockedTx)
 	}
 	// Publishing unblocks (the wait channel closes).
-	victims := s.versionWrite(1, 0, u256.NewUint64(7), false)
+	victims := s.versionWrite(1, 0, -1, u256.NewUint64(7), false, false)
 	if len(victims) != 0 {
 		t.Errorf("no completed readers yet, victims = %v", victims)
 	}
@@ -55,7 +55,7 @@ func TestSequenceReadBlocksOnPendingWrite(t *testing.T) {
 func TestSequenceReadSkipsDropped(t *testing.T) {
 	s := newSequence(testItem())
 	s.addPredicted(1, kindWrite)
-	s.versionWrite(1, 0, u256.NewUint64(7), false)
+	s.versionWrite(1, 0, -1, u256.NewUint64(7), false, false)
 	s.dropVersion(1, 0)
 	val, res, _, _ := s.tryRead(3, 0, u256.NewUint64(100), never, nil)
 	if res == readBlocked {
@@ -73,7 +73,7 @@ func TestSequenceLateWriteAbortsCompletedReader(t *testing.T) {
 		t.Fatal("setup read blocked")
 	}
 	// An unpredicted write by tx1 arrives afterwards (the Fig. 5 case).
-	victims := s.versionWrite(1, 0, u256.NewUint64(9), false)
+	victims := s.versionWrite(1, 0, -1, u256.NewUint64(9), false, false)
 	if len(victims) != 1 || victims[0].tx != 3 || victims[0].inc != 5 {
 		t.Fatalf("victims = %v, want tx3@inc5", victims)
 	}
@@ -91,7 +91,7 @@ func TestSequenceLateWriteAbortsPredictedWriterWhoRead(t *testing.T) {
 	if _, res, _, _ := s.tryRead(3, 2, u256.Zero, never, nil); res == readBlocked {
 		t.Fatal("setup read blocked")
 	}
-	victims := s.versionWrite(1, 0, u256.NewUint64(9), false)
+	victims := s.versionWrite(1, 0, -1, u256.NewUint64(9), false, false)
 	if len(victims) != 1 || victims[0].tx != 3 || victims[0].inc != 2 {
 		t.Fatalf("victims = %v, want the read-before-publish ω entry tx3@inc2", victims)
 	}
@@ -104,11 +104,11 @@ func TestSequenceLateWriteAbortsPredictedWriterWhoRead(t *testing.T) {
 func TestSequenceLateWriteAbortsDeltaEntryWhoRead(t *testing.T) {
 	s := newSequence(testItem())
 	s.addPredicted(3, kindDelta)
-	s.versionWrite(3, 2, u256.NewUint64(4), true) // published delta part
+	s.versionWrite(3, 2, -1, u256.NewUint64(4), true, false) // published delta part
 	if _, res, _, _ := s.tryRead(3, 2, u256.NewUint64(10), never, nil); res == readBlocked {
 		t.Fatal("setup read blocked")
 	}
-	victims := s.versionWrite(1, 0, u256.NewUint64(9), false)
+	victims := s.versionWrite(1, 0, -1, u256.NewUint64(9), false, false)
 	if len(victims) != 1 || victims[0].tx != 3 || victims[0].inc != 2 {
 		t.Fatalf("victims = %v, want the degraded ω̄ entry tx3@inc2", victims)
 	}
@@ -117,12 +117,12 @@ func TestSequenceLateWriteAbortsDeltaEntryWhoRead(t *testing.T) {
 func TestSequenceScanStopsAtInterveningWriter(t *testing.T) {
 	s := newSequence(testItem())
 	// tx2 writes (done), tx3 read tx2's version, tx5 read it too.
-	s.versionWrite(2, 0, u256.NewUint64(5), false)
+	s.versionWrite(2, 0, -1, u256.NewUint64(5), false, false)
 	s.tryRead(3, 0, u256.Zero, never, nil)
 	s.tryRead(5, 0, u256.Zero, never, nil)
 	// Now tx1 publishes: tx3/tx5 read tx2's version, NOT tx1's — the scan
 	// must stop at tx2's ω and abort nobody.
-	victims := s.versionWrite(1, 0, u256.NewUint64(1), false)
+	victims := s.versionWrite(1, 0, -1, u256.NewUint64(1), false, false)
 	if len(victims) != 0 {
 		t.Errorf("scan crossed an intervening writer: victims %v", victims)
 	}
@@ -132,9 +132,9 @@ func TestSequenceDeltaDoesNotAbortDeltaWriters(t *testing.T) {
 	s := newSequence(testItem())
 	s.addPredicted(2, kindDelta)
 	s.addPredicted(4, kindDelta)
-	s.versionWrite(4, 0, u256.NewUint64(10), true)
+	s.versionWrite(4, 0, -1, u256.NewUint64(10), true, false)
 	// tx2's delta arrives later; delta-delta never conflicts.
-	victims := s.versionWrite(2, 0, u256.NewUint64(5), true)
+	victims := s.versionWrite(2, 0, -1, u256.NewUint64(5), true, false)
 	if len(victims) != 0 {
 		t.Errorf("delta invalidated a delta: %v", victims)
 	}
@@ -150,9 +150,9 @@ func TestSequenceDeltaDoesNotAbortDeltaWriters(t *testing.T) {
 
 func TestSequenceLateDeltaAbortsCompletedReader(t *testing.T) {
 	s := newSequence(testItem())
-	s.versionWrite(4, 0, u256.NewUint64(10), true)
+	s.versionWrite(4, 0, -1, u256.NewUint64(10), true, false)
 	s.tryRead(9, 2, u256.Zero, never, nil) // merged only tx4's delta
-	victims := s.versionWrite(2, 0, u256.NewUint64(5), true)
+	victims := s.versionWrite(2, 0, -1, u256.NewUint64(5), true, false)
 	if len(victims) != 1 || victims[0].tx != 9 {
 		t.Errorf("late delta must abort the reader: %v", victims)
 	}
@@ -168,8 +168,8 @@ func TestSequenceReadBlocksOnPendingDelta(t *testing.T) {
 
 func TestSequenceSameIncarnationDeltaAccumulates(t *testing.T) {
 	s := newSequence(testItem())
-	s.versionWrite(1, 0, u256.NewUint64(3), true)
-	s.versionWrite(1, 0, u256.NewUint64(4), true)
+	s.versionWrite(1, 0, -1, u256.NewUint64(3), true, false)
+	s.versionWrite(1, 0, -1, u256.NewUint64(4), true, false)
 	val, _, _, _ := s.tryRead(5, 0, u256.Zero, never, nil)
 	if val.Uint64() != 7 {
 		t.Errorf("accumulated delta = %d, want 7", val.Uint64())
@@ -178,9 +178,9 @@ func TestSequenceSameIncarnationDeltaAccumulates(t *testing.T) {
 
 func TestSequenceDropAfterRepublishIsIgnored(t *testing.T) {
 	s := newSequence(testItem())
-	s.versionWrite(1, 0, u256.NewUint64(5), false)
+	s.versionWrite(1, 0, -1, u256.NewUint64(5), false, false)
 	// Incarnation 1 republished before the aborter got to drop inc 0.
-	s.versionWrite(1, 1, u256.NewUint64(6), false)
+	s.versionWrite(1, 1, -1, u256.NewUint64(6), false, false)
 	s.dropVersion(1, 0)
 	val, res, _, _ := s.tryRead(3, 0, u256.Zero, never, nil)
 	if res == readBlocked || val.Uint64() != 6 {
@@ -193,7 +193,7 @@ func TestSequencePublishAfterDropMarkIsIgnored(t *testing.T) {
 	s.addPredicted(1, kindWrite)
 	// Aborter drops incarnation 0 before its in-flight publish lands.
 	s.dropVersion(1, 0)
-	s.versionWrite(1, 0, u256.NewUint64(5), false)
+	s.versionWrite(1, 0, -1, u256.NewUint64(5), false, false)
 	val, res, _, _ := s.tryRead(3, 0, u256.NewUint64(77), never, nil)
 	if res == readBlocked {
 		t.Fatal("read blocked on a dead version")
@@ -206,7 +206,7 @@ func TestSequencePublishAfterDropMarkIsIgnored(t *testing.T) {
 func TestSequenceReadWriteUpgrade(t *testing.T) {
 	s := newSequence(testItem())
 	s.tryRead(2, 0, u256.Zero, never, nil) // tx2 reads -> ρ entry, readDone
-	s.versionWrite(2, 0, u256.NewUint64(8), false)
+	s.versionWrite(2, 0, -1, u256.NewUint64(8), false, false)
 	i, ok := s.find(2)
 	if !ok {
 		t.Fatal("entry missing")
@@ -222,16 +222,16 @@ func TestSequenceFinalValue(t *testing.T) {
 	if _, wrote := s.finalValue(snap); wrote {
 		t.Error("untouched sequence reports a write")
 	}
-	s.versionWrite(1, 0, u256.NewUint64(10), false)
-	s.versionWrite(3, 0, u256.NewUint64(20), false)
-	s.versionWrite(5, 0, u256.NewUint64(7), true) // delta on top
+	s.versionWrite(1, 0, -1, u256.NewUint64(10), false, false)
+	s.versionWrite(3, 0, -1, u256.NewUint64(20), false, false)
+	s.versionWrite(5, 0, -1, u256.NewUint64(7), true, false) // delta on top
 	val, wrote := s.finalValue(snap)
 	if !wrote || val.Uint64() != 27 {
 		t.Errorf("final = %d (wrote %v), want 20+7", val.Uint64(), wrote)
 	}
 	// Deltas only: merge onto the snapshot.
 	s2 := newSequence(testItem())
-	s2.versionWrite(2, 0, u256.NewUint64(5), true)
+	s2.versionWrite(2, 0, -1, u256.NewUint64(5), true, false)
 	val, wrote = s2.finalValue(snap)
 	if !wrote || val.Uint64() != 105 {
 		t.Errorf("delta-only final = %d, want 105", val.Uint64())
@@ -254,14 +254,14 @@ func TestSequenceResetRead(t *testing.T) {
 	s := newSequence(testItem())
 	s.tryRead(3, 1, u256.Zero, never, nil)
 	s.resetRead(3, 1)
-	victims := s.versionWrite(1, 0, u256.NewUint64(9), false)
+	victims := s.versionWrite(1, 0, -1, u256.NewUint64(9), false, false)
 	if len(victims) != 0 {
 		t.Errorf("reset read still targeted: %v", victims)
 	}
 	// Reset with the wrong incarnation leaves the mark.
 	s.tryRead(5, 2, u256.Zero, never, nil)
 	s.resetRead(5, 1)
-	victims = s.versionWrite(4, 0, u256.NewUint64(9), false)
+	victims = s.versionWrite(4, 0, -1, u256.NewUint64(9), false, false)
 	if len(victims) != 1 {
 		t.Errorf("mark for live incarnation lost: %v", victims)
 	}
@@ -283,7 +283,7 @@ func TestSequenceTargetedWakeup(t *testing.T) {
 		t.Fatal("reader 9 must block on tx6's pending write")
 	}
 	// tx6 publishes: only the reader positioned after tx6 may wake.
-	s.versionWrite(6, 0, u256.NewUint64(1), false)
+	s.versionWrite(6, 0, -1, u256.NewUint64(1), false, false)
 	select {
 	case <-early.ch:
 		t.Fatal("reader 4 woken by a publish at position 6 > 4")
@@ -295,7 +295,7 @@ func TestSequenceTargetedWakeup(t *testing.T) {
 		t.Fatal("reader 9 not woken by the publish it waits behind")
 	}
 	// tx2 publishes: now the early reader wakes too.
-	s.versionWrite(2, 0, u256.NewUint64(2), false)
+	s.versionWrite(2, 0, -1, u256.NewUint64(2), false, false)
 	select {
 	case <-early.ch:
 	default:
@@ -322,17 +322,17 @@ func TestSequenceOnWakeCallback(t *testing.T) {
 		t.Fatal("reader 9 must block on tx6")
 	}
 	// tx6's publish wakes only reader 9 (reader 4 parked earlier at tx2).
-	s.versionWrite(6, 0, u256.NewUint64(1), false)
+	s.versionWrite(6, 0, -1, u256.NewUint64(1), false, false)
 	if len(wakes) != 1 || wakes[0] != (wake{reader: 9, blocked: 6, mut: 6}) {
 		t.Fatalf("wakes after tx6 publish = %v, want exactly reader 9", wakes)
 	}
 	// tx2's publish wakes reader 4.
-	s.versionWrite(2, 0, u256.NewUint64(2), false)
+	s.versionWrite(2, 0, -1, u256.NewUint64(2), false, false)
 	if len(wakes) != 2 || wakes[1] != (wake{reader: 4, blocked: 2, mut: 2}) {
 		t.Fatalf("wakes after tx2 publish = %v, want reader 4 second", wakes)
 	}
 	// A re-publish with everyone already woken fires nothing new.
-	s.versionWrite(2, 1, u256.NewUint64(3), false)
+	s.versionWrite(2, 1, -1, u256.NewUint64(3), false, false)
 	if len(wakes) != 2 {
 		t.Fatalf("re-publish fired extra wakes: %v", wakes)
 	}
@@ -345,7 +345,7 @@ func TestSequenceOnWakeCallback(t *testing.T) {
 func TestSequenceResumeCursor(t *testing.T) {
 	s := newSequence(testItem())
 	s.addPredicted(2, kindWrite)
-	s.versionWrite(5, 0, u256.NewUint64(50), true) // done delta above tx2
+	s.versionWrite(5, 0, -1, u256.NewUint64(50), true, false) // done delta above tx2
 	_, res, _, w := s.tryRead(9, 0, u256.Zero, never, nil)
 	if res != readBlocked || w.blockedTx != 2 {
 		t.Fatalf("reader must park on tx2 (got blocked=%d res=%d)", w.blockedTx, res)
@@ -354,11 +354,11 @@ func TestSequenceResumeCursor(t *testing.T) {
 		t.Errorf("cached deltas = %d, want 50 (tx5's done delta)", w.deltas.Uint64())
 	}
 	// A new delta lands inside the scanned window (2 < 7 < 9): stale.
-	s.versionWrite(7, 0, u256.NewUint64(7), true)
+	s.versionWrite(7, 0, -1, u256.NewUint64(7), true, false)
 	if !w.stale {
 		t.Error("mutation inside the scanned window must mark the waiter stale")
 	}
-	s.versionWrite(2, 0, u256.NewUint64(100), false)
+	s.versionWrite(2, 0, -1, u256.NewUint64(100), false, false)
 	val, res, _, _ := s.tryRead(9, 0, u256.Zero, never, w)
 	if res == readBlocked {
 		t.Fatal("read still blocked after all publishes")
@@ -374,9 +374,9 @@ func TestSequenceResumeCursor(t *testing.T) {
 func TestSequenceResumeCursorFresh(t *testing.T) {
 	s := newSequence(testItem())
 	s.addPredicted(2, kindWrite)
-	s.versionWrite(5, 0, u256.NewUint64(50), true)
+	s.versionWrite(5, 0, -1, u256.NewUint64(50), true, false)
 	_, _, _, w := s.tryRead(9, 0, u256.Zero, never, nil)
-	s.versionWrite(2, 0, u256.NewUint64(100), false)
+	s.versionWrite(2, 0, -1, u256.NewUint64(100), false, false)
 	if w.stale {
 		t.Error("publish at the park position must not mark the cache stale")
 	}
@@ -389,7 +389,7 @@ func TestSequenceResumeCursorFresh(t *testing.T) {
 func TestSequenceDebugString(t *testing.T) {
 	s := newSequence(testItem())
 	s.addPredicted(1, kindWrite)
-	s.versionWrite(1, 0, u256.NewUint64(5), false)
+	s.versionWrite(1, 0, -1, u256.NewUint64(5), false, false)
 	s.tryRead(3, 0, u256.Zero, never, nil)
 	out := s.debugString()
 	if out == "" {

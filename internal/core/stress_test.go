@@ -62,7 +62,7 @@ func TestSequenceWaiterStress(t *testing.T) {
 				if dropped[i] {
 					s.dropVersion(i, 0)
 				} else {
-					s.versionWrite(i, 0, u256.NewUint64(vals[i]), true)
+					s.versionWrite(i, 0, -1, u256.NewUint64(vals[i]), true, false)
 				}
 			}
 		}(g)
@@ -106,7 +106,7 @@ func TestAbortWastedGasFinishedIncarnation(t *testing.T) {
 			finished: true, receipt: &types.Receipt{GasUsed: 60_000}},
 	}
 	s := r.seq(item)
-	s.versionWrite(0, 0, u256.NewUint64(1), false)
+	s.versionWrite(0, 0, -1, u256.NewUint64(1), false, false)
 	if _, res, _, _ := s.tryRead(1, 0, u256.Zero, never, nil); res == readBlocked {
 		t.Fatal("setup read blocked")
 	}
@@ -159,7 +159,7 @@ func TestAbortCascadeIterativeDepth(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		s := r.seq(item(i))
-		s.versionWrite(i, 0, u256.NewUint64(uint64(i)), false)
+		s.versionWrite(i, 0, -1, u256.NewUint64(uint64(i)), false, false)
 		// Transaction i+1 completed a read of transaction i's version.
 		if _, res, _, _ := s.tryRead(i+1, 0, u256.Zero, never, nil); res == readBlocked {
 			t.Fatal("setup read blocked")

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"dmvcc/internal/baseline"
-	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/state"
 	"dmvcc/internal/types"
@@ -53,21 +53,21 @@ type DivergenceReport struct {
 // committed incarnation's recorded events.
 type txView struct {
 	commitInc int
-	reads     map[sag.ItemID]core.SchedEvent // first read per item
-	writes    map[sag.ItemID]u256.Int        // last published absolute value
-	deltas    map[sag.ItemID]u256.Int        // summed delta contributions
+	reads     map[sag.ItemID]eventlog.Event // first read per item
+	writes    map[sag.ItemID]u256.Int       // last published absolute value
+	deltas    map[sag.ItemID]u256.Int       // summed delta contributions
 }
 
 // buildViews folds the event log into per-transaction views of the
 // committed incarnations. Events of aborted incarnations are ignored: the
 // audit judges what the block actually committed.
-func buildViews(events []core.SchedEvent, n int) []txView {
+func buildViews(events []eventlog.Event, n int) []txView {
 	views := make([]txView, n)
 	for i := range views {
 		views[i].commitInc = -1
 	}
 	for _, e := range events {
-		if e.Op == core.OpCommit && int(e.Tx) >= 0 && int(e.Tx) < n {
+		if e.Op == eventlog.OpCommit && int(e.Tx) >= 0 && int(e.Tx) < n {
 			views[e.Tx].commitInc = int(e.Inc)
 		}
 	}
@@ -81,19 +81,19 @@ func buildViews(events []core.SchedEvent, n int) []txView {
 			continue
 		}
 		switch e.Op {
-		case core.OpRead:
+		case eventlog.OpRead:
 			if v.reads == nil {
-				v.reads = make(map[sag.ItemID]core.SchedEvent)
+				v.reads = make(map[sag.ItemID]eventlog.Event)
 			}
 			if _, ok := v.reads[e.Item]; !ok {
 				v.reads[e.Item] = e
 			}
-		case core.OpPublish:
+		case eventlog.OpPublish:
 			if v.writes == nil {
 				v.writes = make(map[sag.ItemID]u256.Int)
 			}
 			v.writes[e.Item] = e.Val // last write wins
-		case core.OpDelta:
+		case eventlog.OpDelta:
 			if v.deltas == nil {
 				v.deltas = make(map[sag.ItemID]u256.Int)
 			}
@@ -135,7 +135,7 @@ func wsValue(ws *state.WriteSet, id sag.ItemID) (u256.Int, bool) {
 // running value for delta items); parallelWS is the parallel execution's
 // committed write set, diffed block-level as a safety net when every per-tx
 // comparison passes but the roots still differ.
-func Audit(events []core.SchedEvent, receipts []*types.Receipt,
+func Audit(events []eventlog.Event, receipts []*types.Receipt,
 	serial []*baseline.TxSets, pre func(sag.ItemID) u256.Int,
 	parallelWS *state.WriteSet) *DivergenceReport {
 

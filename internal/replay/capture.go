@@ -6,9 +6,7 @@ import (
 	"os"
 
 	"dmvcc/internal/core"
-	"dmvcc/internal/sag"
-	"dmvcc/internal/types"
-	"dmvcc/internal/u256"
+	"dmvcc/internal/eventlog"
 )
 
 // CaptureSchema versions the on-disk capture format.
@@ -30,114 +28,23 @@ type Recipe struct {
 	Keep     []int  `json:"keep,omitempty"`
 }
 
-// EventJSON is the serialized form of one core.SchedEvent.
-type EventJSON struct {
-	Seq    uint64 `json:"seq"`
-	Op     string `json:"op"`
-	Tx     int    `json:"tx"`
-	Inc    int    `json:"inc"`
-	Worker int    `json:"worker,omitempty"`
-	Src    int    `json:"src,omitempty"`
-	Kind   string `json:"kind,omitempty"` // item kind; "" when no item
-	Addr   string `json:"addr,omitempty"`
-	Slot   string `json:"slot,omitempty"`
-	Val    string `json:"val,omitempty"`
-}
-
 // Capture is one recorded block execution: the regeneration recipe, the
 // environment that shaped the schedule, the observed outcome and the full
 // ordered event log.
 type Capture struct {
-	Schema       string      `json:"schema"`
-	Recipe       Recipe      `json:"recipe"`
-	Threads      int         `json:"threads"`
-	GoMaxProcs   int         `json:"gomaxprocs"`
-	SerialRoot   string      `json:"serial_root"`
-	ParallelRoot string      `json:"parallel_root"`
-	Stats        core.Stats  `json:"stats"`
-	Events       []EventJSON `json:"events"`
+	Schema       string               `json:"schema"`
+	Recipe       Recipe               `json:"recipe"`
+	Threads      int                  `json:"threads"`
+	GoMaxProcs   int                  `json:"gomaxprocs"`
+	SerialRoot   string               `json:"serial_root"`
+	ParallelRoot string               `json:"parallel_root"`
+	Stats        core.Stats           `json:"stats"`
+	Events       []eventlog.EventJSON `json:"events"`
 }
 
-// EncodeEvents converts a recorder snapshot to the JSON form.
-func EncodeEvents(events []core.SchedEvent) []EventJSON {
-	out := make([]EventJSON, len(events))
-	for i, e := range events {
-		j := EventJSON{
-			Seq:    e.Seq,
-			Op:     e.Op.String(),
-			Tx:     int(e.Tx),
-			Inc:    int(e.Inc),
-			Worker: int(e.Worker),
-			Src:    int(e.Src),
-		}
-		if e.Item.Kind != 0 {
-			j.Kind = e.Item.Kind.String()
-			j.Addr = e.Item.Addr.Hex()
-			if e.Item.Kind == sag.KindStorage {
-				j.Slot = e.Item.Slot.Hex()
-			}
-		}
-		if !e.Val.IsZero() {
-			j.Val = e.Val.Hex()
-		}
-		out[i] = j
-	}
-	return out
-}
-
-// parseKind inverts ItemKind.String.
-func parseKind(s string) (sag.ItemKind, bool) {
-	switch s {
-	case "storage":
-		return sag.KindStorage, true
-	case "balance":
-		return sag.KindBalance, true
-	case "nonce":
-		return sag.KindNonce, true
-	case "code":
-		return sag.KindCode, true
-	}
-	return 0, false
-}
-
-// DecodeEvents inverts EncodeEvents.
-func DecodeEvents(events []EventJSON) ([]core.SchedEvent, error) {
-	out := make([]core.SchedEvent, len(events))
-	for i, j := range events {
-		op, ok := core.ParseSchedOp(j.Op)
-		if !ok {
-			return nil, fmt.Errorf("event %d: unknown op %q", i, j.Op)
-		}
-		e := core.SchedEvent{
-			Seq:    j.Seq,
-			Op:     op,
-			Tx:     int32(j.Tx),
-			Inc:    int32(j.Inc),
-			Worker: int32(j.Worker),
-			Src:    int32(j.Src),
-		}
-		if j.Kind != "" {
-			k, ok := parseKind(j.Kind)
-			if !ok {
-				return nil, fmt.Errorf("event %d: unknown item kind %q", i, j.Kind)
-			}
-			e.Item = sag.ItemID{Kind: k, Addr: types.HexToAddress(j.Addr), Slot: types.HexToHash(j.Slot)}
-		}
-		if j.Val != "" {
-			v, err := u256.FromHex(j.Val)
-			if err != nil {
-				return nil, fmt.Errorf("event %d: bad val %q: %v", i, j.Val, err)
-			}
-			e.Val = v
-		}
-		out[i] = e
-	}
-	return out, nil
-}
-
-// DecodedEvents returns the capture's event log as core events.
-func (c *Capture) DecodedEvents() ([]core.SchedEvent, error) {
-	return DecodeEvents(c.Events)
+// DecodedEvents returns the capture's event log.
+func (c *Capture) DecodedEvents() ([]eventlog.Event, error) {
+	return eventlog.DecodeEvents(c.Events)
 }
 
 // Replayable reports whether the capture can be deterministically replayed.
@@ -149,10 +56,10 @@ func (c *Capture) Replayable() error {
 		return fmt.Errorf("capture schema %q, want %q", c.Schema, CaptureSchema)
 	}
 	for _, e := range c.Events {
-		if e.Op == core.OpWatchdog.String() {
+		if e.Op == eventlog.OpWatchdog.String() {
 			return fmt.Errorf("capture contains a watchdog recovery event (seq %d): wall-clock driven, not replayable", e.Seq)
 		}
-		if e.Op == core.OpBreaker.String() {
+		if e.Op == eventlog.OpBreaker.String() {
 			return fmt.Errorf("capture contains a circuit-breaker event (seq %d): degraded blocks are not replayable", e.Seq)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/types"
 	"dmvcc/internal/u256"
@@ -17,23 +17,26 @@ func item(n byte) sag.ItemID {
 	return sag.StorageItem(types.BytesToAddress([]byte{n}), types.BytesToHash([]byte{n}))
 }
 
-func ev(op core.SchedOp, tx, inc int, id sag.ItemID, val uint64) core.SchedEvent {
-	return core.SchedEvent{Op: op, Tx: int32(tx), Inc: int32(inc), Src: -1, Worker: -1,
+func ev(op eventlog.Op, tx, inc int, id sag.ItemID, val uint64) eventlog.Event {
+	return eventlog.Event{Op: op, Tx: int32(tx), Inc: int32(inc), Src: -1, Worker: -1,
 		Item: id, Val: u256.NewUint64(val)}
 }
 
 // TestSequencerOrder proves the gate admits events strictly in log order: an
 // Await for the second event parks until the first is consumed and released.
 func TestSequencerOrder(t *testing.T) {
-	events := []core.SchedEvent{
-		ev(core.OpDispatch, 0, 0, sag.ItemID{}, 0),
-		ev(core.OpDispatch, 1, 0, sag.ItemID{}, 0),
+	// The park between the dispatches is not a gated action: the sequencer
+	// must not wait for anyone to claim it.
+	events := []eventlog.Event{
+		ev(eventlog.OpDispatch, 0, 0, sag.ItemID{}, 0),
+		ev(eventlog.OpPark, 0, 0, item(1), 0),
+		ev(eventlog.OpDispatch, 1, 0, sag.ItemID{}, 0),
 	}
 	seq := NewSequencer(events)
 
 	admitted := make(chan struct{})
 	go func() {
-		if !seq.Await(core.OpDispatch, 1, 0, sag.ItemID{}, nil) {
+		if !seq.Await(eventlog.OpDispatch, 1, 0, sag.ItemID{}, nil) {
 			t.Error("tx 1 await returned dead")
 		}
 		close(admitted)
@@ -44,7 +47,7 @@ func TestSequencerOrder(t *testing.T) {
 		t.Fatal("tx 1 admitted before tx 0 consumed its slot")
 	case <-time.After(50 * time.Millisecond):
 	}
-	if !seq.Await(core.OpDispatch, 0, 0, sag.ItemID{}, nil) {
+	if !seq.Await(eventlog.OpDispatch, 0, 0, sag.ItemID{}, nil) {
 		t.Fatal("tx 0 await returned dead")
 	}
 	seq.Done()
@@ -61,14 +64,14 @@ func TestSequencerOrder(t *testing.T) {
 // TestSequencerItemMatch proves item-keyed ops only admit the matching item.
 func TestSequencerItemMatch(t *testing.T) {
 	a, b := item(1), item(2)
-	events := []core.SchedEvent{
-		ev(core.OpRead, 0, 0, a, 0),
-		ev(core.OpRead, 0, 0, b, 0),
+	events := []eventlog.Event{
+		ev(eventlog.OpRead, 0, 0, a, 0),
+		ev(eventlog.OpRead, 0, 0, b, 0),
 	}
 	seq := NewSequencer(events)
 	done := make(chan struct{})
 	go func() {
-		seq.Await(core.OpRead, 0, 0, b, nil) // second in the log
+		seq.Await(eventlog.OpRead, 0, 0, b, nil) // second in the log
 		close(done)
 		seq.Done()
 	}()
@@ -77,7 +80,7 @@ func TestSequencerItemMatch(t *testing.T) {
 		t.Fatal("read of item b admitted while item a heads the log")
 	case <-time.After(50 * time.Millisecond):
 	}
-	seq.Await(core.OpRead, 0, 0, a, nil)
+	seq.Await(eventlog.OpRead, 0, 0, a, nil)
 	seq.Done()
 	<-done
 }
@@ -85,16 +88,16 @@ func TestSequencerItemMatch(t *testing.T) {
 // TestSequencerDeadConsumes proves a dead waiter consumes its own head slot
 // (so the log keeps draining) and reports dead to the caller.
 func TestSequencerDeadConsumes(t *testing.T) {
-	events := []core.SchedEvent{
-		ev(core.OpRead, 0, 0, item(1), 0),
-		ev(core.OpDispatch, 1, 0, sag.ItemID{}, 0),
+	events := []eventlog.Event{
+		ev(eventlog.OpRead, 0, 0, item(1), 0),
+		ev(eventlog.OpDispatch, 1, 0, sag.ItemID{}, 0),
 	}
 	seq := NewSequencer(events)
-	if seq.Await(core.OpRead, 0, 0, item(1), func() bool { return true }) {
+	if seq.Await(eventlog.OpRead, 0, 0, item(1), func() bool { return true }) {
 		t.Fatal("dead waiter admitted")
 	}
 	// Its slot was consumed: tx 1 is now the head and admits immediately.
-	if !seq.Await(core.OpDispatch, 1, 0, sag.ItemID{}, nil) {
+	if !seq.Await(eventlog.OpDispatch, 1, 0, sag.ItemID{}, nil) {
 		t.Fatal("tx 1 not admitted after dead head consumed")
 	}
 	seq.Done()
@@ -106,10 +109,10 @@ func TestSequencerDeadConsumes(t *testing.T) {
 // TestSequencerOverrun proves awaiting past the log end abandons the gate
 // (free-running, Faithful false) instead of deadlocking.
 func TestSequencerOverrun(t *testing.T) {
-	seq := NewSequencer([]core.SchedEvent{ev(core.OpDispatch, 0, 0, sag.ItemID{}, 0)})
-	seq.Await(core.OpDispatch, 0, 0, sag.ItemID{}, nil)
+	seq := NewSequencer([]eventlog.Event{ev(eventlog.OpDispatch, 0, 0, sag.ItemID{}, 0)})
+	seq.Await(eventlog.OpDispatch, 0, 0, sag.ItemID{}, nil)
 	seq.Done()
-	if !seq.Await(core.OpDispatch, 7, 0, sag.ItemID{}, nil) {
+	if !seq.Await(eventlog.OpDispatch, 7, 0, sag.ItemID{}, nil) {
 		t.Fatal("overrun await must admit (free-run), not report dead")
 	}
 	seq.Done()
@@ -120,14 +123,14 @@ func TestSequencerOverrun(t *testing.T) {
 
 // TestSequencerStopAbandons proves Stop releases every parked waiter.
 func TestSequencerStopAbandons(t *testing.T) {
-	seq := NewSequencer([]core.SchedEvent{ev(core.OpDispatch, 0, 0, sag.ItemID{}, 0)})
+	seq := NewSequencer([]eventlog.Event{ev(eventlog.OpDispatch, 0, 0, sag.ItemID{}, 0)})
 	seq.Start()
 	var wg sync.WaitGroup
 	for i := 1; i <= 3; i++ {
 		wg.Add(1)
 		go func(tx int) {
 			defer wg.Done()
-			seq.Await(core.OpDispatch, tx, 0, sag.ItemID{}, nil) // never in the log
+			seq.Await(eventlog.OpDispatch, tx, 0, sag.ItemID{}, nil) // never in the log
 			seq.Done()
 		}(i)
 	}
@@ -184,21 +187,26 @@ func TestShrinkNeverEmpty(t *testing.T) {
 // TestCompareSchedules proves the per-transaction diff pinpoints the lowest
 // differing transaction and ignores diagnostic events.
 func TestCompareSchedules(t *testing.T) {
-	a := []core.SchedEvent{
-		ev(core.OpDispatch, 0, 0, sag.ItemID{}, 0),
-		ev(core.OpRead, 0, 0, item(1), 42),
-		ev(core.OpDispatch, 1, 0, sag.ItemID{}, 0),
-		ev(core.OpCommit, 1, 0, sag.ItemID{}, 0),
-		ev(core.OpCommit, 0, 0, sag.ItemID{}, 0),
+	a := []eventlog.Event{
+		ev(eventlog.OpDispatch, 0, 0, sag.ItemID{}, 0),
+		ev(eventlog.OpRead, 0, 0, item(1), 42),
+		ev(eventlog.OpDispatch, 1, 0, sag.ItemID{}, 0),
+		ev(eventlog.OpCommit, 1, 0, sag.ItemID{}, 0),
+		ev(eventlog.OpCommit, 0, 0, sag.ItemID{}, 0),
 	}
-	b := append([]core.SchedEvent(nil), a...)
+	b := append([]eventlog.Event(nil), a...)
 	if tx, why := CompareSchedules(a, b); tx != -1 {
 		t.Fatalf("identical schedules reported divergent at tx %d: %s", tx, why)
 	}
 	// Diagnostic events are invisible to the comparison.
-	withDiag := append([]core.SchedEvent{ev(core.OpWatchdog, -1, 0, sag.ItemID{}, 0)}, a...)
+	withDiag := append([]eventlog.Event{
+		ev(eventlog.OpWatchdog, -1, 0, sag.ItemID{}, 0),
+		ev(eventlog.OpPark, 0, 0, item(1), 0), // whether a read parked is timing, not schedule
+		ev(eventlog.OpResume, 0, 0, item(1), 0),
+		ev(eventlog.OpWasted, 1, 0, sag.ItemID{}, 0),
+	}, a...)
 	if tx, why := CompareSchedules(a, withDiag); tx != -1 {
-		t.Fatalf("watchdog event flagged as schedule change at tx %d: %s", tx, why)
+		t.Fatalf("non-gated events flagged as schedule change at tx %d: %s", tx, why)
 	}
 	// A different read value on tx 0 must be pinned to tx 0.
 	b[1].Val = u256.NewUint64(43)
@@ -207,7 +215,7 @@ func TestCompareSchedules(t *testing.T) {
 		t.Fatalf("differing read value reported at tx %d (%q), want tx 0", tx, why)
 	}
 	// A missing event on tx 1 must be pinned to tx 1.
-	c := []core.SchedEvent{a[0], a[1], a[2], a[4]}
+	c := []eventlog.Event{a[0], a[1], a[2], a[4]}
 	if tx, _ := CompareSchedules(a, c); tx != 1 {
 		t.Fatalf("missing commit reported at tx %d, want tx 1", tx)
 	}
@@ -217,17 +225,17 @@ func TestCompareSchedules(t *testing.T) {
 // event log exactly, including items, values and read sources.
 func TestCaptureRoundTrip(t *testing.T) {
 	addr := types.BytesToAddress([]byte{0xab})
-	events := []core.SchedEvent{
-		{Op: core.OpDispatch, Tx: 0, Inc: 0, Worker: 2, Src: -1},
-		{Op: core.OpRead, Tx: 0, Inc: 0, Worker: 2, Src: 3,
+	events := []eventlog.Event{
+		{Op: eventlog.OpDispatch, Tx: 0, Inc: 0, Worker: 2, Src: -1},
+		{Op: eventlog.OpRead, Tx: 0, Inc: 0, Worker: 2, Src: 3,
 			Item: sag.StorageItem(addr, types.BytesToHash([]byte{1})), Val: u256.NewUint64(7)},
-		{Op: core.OpPublish, Tx: 0, Inc: 0, Worker: 2, Src: -1,
+		{Op: eventlog.OpPublish, Tx: 0, Inc: 0, Worker: 2, Src: -1,
 			Item: sag.BalanceItem(addr), Val: u256.NewUint64(1000)},
-		{Op: core.OpDelta, Tx: 0, Inc: 1, Worker: 2, Src: -1,
+		{Op: eventlog.OpDelta, Tx: 0, Inc: 1, Worker: 2, Src: -1,
 			Item: sag.NonceItem(addr), Val: u256.NewUint64(1)},
-		{Op: core.OpDrop, Tx: 0, Inc: 1, Worker: 2, Src: -1, Item: sag.BalanceItem(addr)},
-		{Op: core.OpAbort, Tx: 1, Inc: 0, Worker: 0, Src: 0, Item: sag.BalanceItem(addr)},
-		{Op: core.OpCommit, Tx: 0, Inc: 1, Worker: 2, Src: -1},
+		{Op: eventlog.OpDrop, Tx: 0, Inc: 1, Worker: 2, Src: -1, Item: sag.BalanceItem(addr)},
+		{Op: eventlog.OpAbort, Tx: 1, Inc: 0, Worker: 0, Src: 0, Item: sag.BalanceItem(addr)},
+		{Op: eventlog.OpCommit, Tx: 0, Inc: 1, Worker: 2, Src: -1},
 	}
 	for i := range events {
 		events[i].Seq = uint64(i)
@@ -236,7 +244,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 		Schema:  CaptureSchema,
 		Recipe:  Recipe{Seed: 9, Txs: 2, Class: "panic", Block: 3, Backend: "trie", Keep: []int{0, 1}},
 		Threads: 4,
-		Events:  EncodeEvents(events),
+		Events:  eventlog.EncodeEvents(events),
 	}
 	path := filepath.Join(t.TempDir(), "capture.json")
 	if err := cap.WriteFile(path); err != nil {
@@ -282,7 +290,7 @@ func TestCaptureRefusals(t *testing.T) {
 	}
 	wd := &Capture{
 		Schema: CaptureSchema,
-		Events: EncodeEvents([]core.SchedEvent{{Op: core.OpWatchdog, Tx: -1}}),
+		Events: eventlog.EncodeEvents([]eventlog.Event{{Op: eventlog.OpWatchdog, Tx: -1}}),
 	}
 	if err := wd.Replayable(); err == nil {
 		t.Fatal("capture with watchdog events accepted for replay")

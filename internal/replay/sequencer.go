@@ -1,9 +1,10 @@
-// Package replay is the execution flight-recorder toolchain: capturing a
-// block's complete scheduling history (internal/core's ScheduleRecorder),
-// deterministically re-executing the block under the recorded interleaving
-// (Sequencer, a core.Gate), auditing a diverging block against the serial
-// twin down to the first mismatching transaction and item (Audit), and
-// shrinking a diverging block to a minimal repro (Shrink).
+// Package replay is the execution flight-recorder toolchain, every part of
+// it a reader of one block's scheduler event log (internal/eventlog):
+// persisting the log as a capture, deterministically re-executing the block
+// under the recorded interleaving (Sequencer, a core.Gate), auditing a
+// diverging block against the serial twin down to the first mismatching
+// transaction and item (Audit), and shrinking a diverging block to a minimal
+// repro (Shrink).
 package replay
 
 import (
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dmvcc/internal/core"
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 )
 
@@ -34,14 +36,14 @@ import (
 type Sequencer struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	events    []core.SchedEvent
+	events    []eventlog.Event
 	next      int
 	claimed   bool
 	progress  uint64 // bumped on every claim/consume/release/skip
 	skipped   int
 	abandoned bool
 	overrun   bool
-	firstSkip *core.SchedEvent
+	firstSkip *eventlog.Event
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -59,15 +61,15 @@ const (
 )
 
 // NewSequencer builds a sequencer over the gated events of a capture
-// (non-gated kinds — watchdog/breaker markers — are filtered out). Call
-// Start before execution and Stop after.
-func NewSequencer(events []core.SchedEvent) *Sequencer {
+// (non-gated kinds — park/resume/wasted and the watchdog/breaker markers —
+// are filtered out). Call Start before execution and Stop after.
+func NewSequencer(events []eventlog.Event) *Sequencer {
 	s := &Sequencer{
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.events = make([]core.SchedEvent, 0, len(events))
+	s.events = make([]eventlog.Event, 0, len(events))
 	for _, e := range events {
 		if e.Op.Gated() {
 			s.events = append(s.events, e)
@@ -80,7 +82,7 @@ func NewSequencer(events []core.SchedEvent) *Sequencer {
 // Item-keyed ops (read/publish/delta/drop) also require the item, so one
 // incarnation's actions on distinct items cannot satisfy each other's
 // claims; dispatch/abort/commit happen at most once per incarnation.
-func match(e *core.SchedEvent, op core.SchedOp, tx, inc int, item sag.ItemID) bool {
+func match(e *eventlog.Event, op eventlog.Op, tx, inc int, item sag.ItemID) bool {
 	if e.Op != op || int(e.Tx) != tx || int(e.Inc) != inc {
 		return false
 	}
@@ -98,7 +100,7 @@ func match(e *core.SchedEvent, op core.SchedOp, tx, inc int, item sag.ItemID) bo
 // anyway, so a recorded action pre-empted by its own recorded abort does
 // not wedge the log. After abandonment Await always returns true
 // immediately and Done is a no-op.
-func (s *Sequencer) Await(op core.SchedOp, tx, inc int, item sag.ItemID, dead func() bool) bool {
+func (s *Sequencer) Await(op eventlog.Op, tx, inc int, item sag.ItemID, dead func() bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -252,7 +254,7 @@ func (s *Sequencer) Consumed() int {
 // FirstSkip returns the first recorded event nobody claimed (nil when none):
 // the point where the replayed execution first refused the captured
 // schedule.
-func (s *Sequencer) FirstSkip() *core.SchedEvent {
+func (s *Sequencer) FirstSkip() *eventlog.Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.firstSkip == nil {

@@ -1,6 +1,6 @@
 package replay
 
-import "dmvcc/internal/core"
+import "dmvcc/internal/eventlog"
 
 // ReplayFn re-executes the diverging block restricted to the given
 // transaction subset (indices into the original block, ascending) and
@@ -56,9 +56,9 @@ func Shrink(n int, replay ReplayFn) (keep []int, replays int) {
 // assignment are allowed to differ (they are representation, not
 // semantics). Returns the first differing transaction and a description, or
 // (-1, "") when equivalent.
-func CompareSchedules(recorded, replayed []core.SchedEvent) (int, string) {
-	perTx := func(events []core.SchedEvent) map[int][]core.SchedEvent {
-		m := make(map[int][]core.SchedEvent)
+func CompareSchedules(recorded, replayed []eventlog.Event) (int, string) {
+	perTx := func(events []eventlog.Event) map[int][]eventlog.Event {
+		m := make(map[int][]eventlog.Event)
 		for _, e := range events {
 			if !e.Op.Gated() {
 				continue
@@ -93,7 +93,7 @@ func CompareSchedules(recorded, replayed []core.SchedEvent) (int, string) {
 				note(tx, "event "+x.Op.String()+" vs "+y.Op.String()+" at position differs")
 				break
 			}
-			if x.Op == core.OpRead && (x.Src != y.Src || !x.Val.Eq(&y.Val)) {
+			if x.Op == eventlog.OpRead && (x.Src != y.Src || !x.Val.Eq(&y.Val)) {
 				note(tx, "read of "+x.Item.String()+" resolved differently")
 				break
 			}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sort"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 )
 
@@ -176,11 +177,22 @@ func AuditTx(pred TxPrediction, actual TxAccessLog, victimAborts int) TxAudit {
 	return ta
 }
 
-// AuditBlock scores every transaction of a block and aggregates.
-// victimAborts maps tx index → aborted incarnations of that tx; causeAborts
-// maps tx index → abort records attributing that tx as the cause. preds and
-// actuals are parallel, indexed by tx.
-func AuditBlock(block int64, preds []TxPrediction, actuals []TxAccessLog, victimAborts, causeAborts map[int]int) *BlockAudit {
+// AuditBlock scores every transaction of a block and aggregates. The abort
+// correlation is read from the block's events: each abort event counts
+// against its victim and attributes its cause transaction. preds and actuals
+// are parallel, indexed by tx.
+func AuditBlock(block int64, preds []TxPrediction, actuals []TxAccessLog, events []eventlog.Event) *BlockAudit {
+	victimAborts := make(map[int]int)
+	causeAborts := make(map[int]int)
+	for _, ev := range events {
+		if ev.Op != eventlog.OpAbort {
+			continue
+		}
+		victimAborts[int(ev.Tx)]++
+		if ev.Src >= 0 {
+			causeAborts[int(ev.Src)]++
+		}
+	}
 	ba := &BlockAudit{Block: block, Txs: len(actuals)}
 	mispredicted := make(map[int]bool, len(preds))
 	for i := range actuals {
@@ -234,23 +246,16 @@ func AuditBlock(block int64, preds []TxPrediction, actuals []TxAccessLog, victim
 	return ba
 }
 
-// CompleteBlock builds and stores the block audit from the collected abort
-// records plus the caller-supplied predictions and access logs. Call it once
-// per block, after execution finished (the executor does this when a
-// collector is attached).
-func (f *Forensics) CompleteBlock(block int64, preds []TxPrediction, actuals []TxAccessLog) *BlockAudit {
-	if !f.Enabled() {
+// BlockAuditOf returns the C-SAG accuracy audit the executor attached to the
+// block, or nil.
+func BlockAuditOf(b *eventlog.Block) *BlockAudit {
+	if b == nil {
 		return nil
 	}
-	victims := make(map[int]int)
-	causes := make(map[int]int)
-	for _, rec := range f.AbortRecords(block) {
-		victims[rec.Tx]++
-		if rec.CauseTx >= 0 {
-			causes[rec.CauseTx]++
+	for _, r := range b.Reports {
+		if a, ok := r.(*BlockAudit); ok {
+			return a
 		}
 	}
-	ba := AuditBlock(block, preds, actuals, victims, causes)
-	f.RecordAudit(ba)
-	return ba
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 )
 
@@ -75,12 +76,16 @@ func TestAuditBlockAggregation(t *testing.T) {
 		{Tx: 1, Reads: []sag.ItemID{a, b}, GasUsed: 25, Status: "reverted"},                      // missed read, gas+status wrong
 		{Tx: 2, Reads: []sag.ItemID{a}, Writes: []sag.ItemID{b}, GasUsed: 30, Status: "success"}, // wrong write target
 	}
-	// tx2 aborted once; its abort was caused by tx1 (mispredicted) and one
-	// more abort record blames tx0 (well-predicted).
-	victims := map[int]int{2: 1}
-	causes := map[int]int{1: 1, 0: 1}
+	// tx2 aborted twice: once caused by tx1 (mispredicted), once by tx0
+	// (well-predicted); a forced abort without a cause attributes nothing.
+	events := []eventlog.Event{
+		abortEv(2, 0, 0, -1, 1, a, -1, eventlog.AbortUnpredictedWrite, 0),
+		wastedEv(2, 0, 5), // not an abort: must not count
+		abortEv(2, 1, 1, -1, 0, a, -1, eventlog.AbortSnapshotStale, 0),
+		abortEv(2, 2, 2, -1, -1, a, -1, eventlog.AbortForced, 0),
+	}
 
-	ba := AuditBlock(9, preds, actuals, victims, causes)
+	ba := AuditBlock(9, preds, actuals, events)
 	if ba.Block != 9 || ba.Txs != 3 || ba.AnalyzedTxs != 3 {
 		t.Fatalf("header = %+v", ba)
 	}
@@ -105,22 +110,19 @@ func TestAuditBlockAggregation(t *testing.T) {
 	if cor.AbortsCausedByMispredicted != 1 || cor.AbortsCausedByPredicted != 1 {
 		t.Fatalf("cause attribution = %+v", cor)
 	}
-	if len(ba.PerTx) != 3 {
-		t.Fatalf("per-tx rows = %d", len(ba.PerTx))
+	if len(ba.PerTx) != 3 || ba.PerTx[2].Aborts != 3 {
+		t.Fatalf("per-tx rows = %d, tx2 aborts = %d, want 3 rows / 3 aborts", len(ba.PerTx), ba.PerTx[2].Aborts)
 	}
 }
 
-// TestCompleteBlock checks the end-to-end wiring: abort records collected
-// during execution become the victim/cause maps of the stored audit.
-func TestCompleteBlock(t *testing.T) {
+// TestAuditAttachedToBlock checks the wiring the executor uses: the audit is
+// computed from the block's own abort events and read back off its record.
+func TestAuditAttachedToBlock(t *testing.T) {
 	a, b := fxItem(1), fxItem(2)
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(5, 2)
-	fx.RecordAbort(AbortRecord{
-		Tx: 1, Inc: 0, Cascade: fx.NextCascade(), Parent: -1, CauseTx: 0,
-		Item: a, ReadSrcTx: -1, Class: AbortUnpredictedWrite,
-	})
+	lg := eventlog.New()
+	lg.Enable()
+	lg.Begin(5, 2)
+	lg.Append(abortEv(1, 0, 0, -1, 0, a, -1, eventlog.AbortUnpredictedWrite, 0))
 
 	preds := []TxPrediction{
 		{Tx: 0, Analyzed: true, Writes: []sag.ItemID{a}}, // actually also wrote b
@@ -130,12 +132,13 @@ func TestCompleteBlock(t *testing.T) {
 		{Tx: 0, Writes: []sag.ItemID{a, b}},
 		{Tx: 1, Reads: []sag.ItemID{a}},
 	}
-	ba := fx.CompleteBlock(5, preds, actuals)
-	if ba == nil {
-		t.Fatal("no audit")
-	}
-	if got := fx.Audit(5); got != ba {
+	ba := AuditBlock(5, preds, actuals, lg.Events(5))
+	lg.AddReport(5, ba)
+	if got := BlockAuditOf(lg.Block(5)); got != ba {
 		t.Fatal("audit not stored under its block")
+	}
+	if BlockAuditOf(lg.Block(6)) != nil {
+		t.Fatal("unrecorded block has an audit")
 	}
 	cor := ba.Correlation
 	// tx1 (well-predicted) suffered the abort; tx0 (mispredicted) caused it.
@@ -144,11 +147,5 @@ func TestCompleteBlock(t *testing.T) {
 	}
 	if cor.AbortsCausedByMispredicted != 1 || cor.AbortsCausedByPredicted != 0 {
 		t.Fatalf("cause attribution = %+v", cor)
-	}
-
-	// A disabled collector refuses the work.
-	fx.Disable()
-	if fx.CompleteBlock(6, preds, actuals) != nil {
-		t.Fatal("disabled collector produced an audit")
 	}
 }

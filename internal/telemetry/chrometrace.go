@@ -6,15 +6,16 @@ import (
 	"io"
 	"sort"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 )
 
 // Chrome trace-event constants: pid layout and the flow-event category.
-// Pipeline-stage spans live in their own process so Perfetto renders the
+// Pipeline-stage intervals live in their own process so Perfetto renders the
 // analysis/execution overlap as a separate track group from the per-worker
 // scheduler timelines of each block.
 const (
-	pipelinePid = 1 // coarse spans: analysis / execution / commit tracks
+	pipelinePid = 1 // coarse stage intervals: analysis / execution / commit tracks
 	blockPidMin = 100
 )
 
@@ -54,51 +55,60 @@ func itemLabel(id sag.ItemID) string {
 	return id.String()
 }
 
-// ExportChrome writes the trace as Chrome trace-event JSON. The layout:
+// ExportChrome writes the log's retained blocks as Chrome trace-event JSON,
+// with timestamps relative to the log's epoch. The layout:
 //
-//   - pid 1 "pipeline": one thread per coarse track (analysis, execution,
-//     commit) showing pipeline-stage overlap across blocks;
+//   - pid 1 "pipeline": one thread per stage (analysis, execution, commit)
+//     showing pipeline-stage overlap across blocks, read from the stage
+//     ledger's interval log (nil ledger = no pipeline tracks);
 //   - pid 100+n "block n scheduler": one thread per worker goroutine, with
 //     an "X" slice for every running stretch of a transaction incarnation
 //     (dispatch→park, resume→park/abort/commit), abort instants, and flow
 //     arrows from the publish that unblocked a parked reader to the
 //     reader's resume.
-func (tr *Trace) ExportChrome(w io.Writer) error {
+func ExportChrome(w io.Writer, log *eventlog.Log, ledger *StageLedger) error {
 	out := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	add := func(ev chromeEvent) { out.TraceEvents = append(out.TraceEvents, ev) }
 	meta := func(pid, tid int64, kind, name string) {
 		add(chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
 	}
 
-	// Coarse pipeline-stage spans.
-	if len(tr.Spans) > 0 {
-		meta(pipelinePid, 0, "process_name", "pipeline")
-		trackTids := map[string]int64{}
-		for _, s := range tr.Spans {
-			tid, ok := trackTids[s.Track]
-			if !ok {
-				tid = int64(len(trackTids))
-				trackTids[s.Track] = tid
-				meta(pipelinePid, tid, "thread_name", s.Track)
+	// Coarse pipeline-stage intervals, shifted from the ledger's clock onto
+	// the log's.
+	if ledger != nil && log != nil {
+		shift := int64(ledger.Epoch().Sub(log.Epoch()))
+		named := false
+		for _, st := range Stages() {
+			ivs := ledger.Intervals(st)
+			if len(ivs) == 0 {
+				continue
 			}
-			add(chromeEvent{
-				Name: s.Name, Ph: "X", TS: usec(s.Start), Dur: usec(s.End - s.Start),
-				Pid: pipelinePid, Tid: tid,
-				Args: map[string]any{"block": s.Block},
-			})
+			if !named {
+				meta(pipelinePid, 0, "process_name", "pipeline")
+				named = true
+			}
+			meta(pipelinePid, int64(st), "thread_name", st.String())
+			for _, iv := range ivs {
+				add(chromeEvent{
+					Name: fmt.Sprintf("%s block %d", st, iv.Block),
+					Ph:   "X", TS: usec(iv.Start + shift), Dur: usec(iv.End - iv.Start),
+					Pid: pipelinePid, Tid: int64(st),
+					Args: map[string]any{"block": iv.Block},
+				})
+			}
 		}
 	}
 
 	// Per-block scheduler timelines.
 	flowID := int64(0)
-	for _, block := range tr.Blocks() {
-		events := tr.BlockTrace(block).Events
+	for _, b := range log.Blocks() {
+		events := b.Events
 		if len(events) == 0 {
 			continue
 		}
-		pid := blockPid(block)
-		meta(pid, 0, "process_name", fmt.Sprintf("block %d scheduler", block))
-		workers := map[int]bool{}
+		pid := blockPid(b.Number)
+		meta(pid, 0, "process_name", fmt.Sprintf("block %d scheduler", b.Number))
+		workers := map[int32]bool{}
 		for _, ev := range events {
 			if ev.Worker >= 0 && !workers[ev.Worker] {
 				workers[ev.Worker] = true
@@ -109,9 +119,9 @@ func (tr *Trace) ExportChrome(w io.Writer) error {
 		// Reconstruct running slices per (tx, inc): a slice opens at
 		// dispatch or resume and closes at the next park, abort, or commit
 		// of the same incarnation.
-		type sliceKey struct{ tx, inc int }
-		open := map[sliceKey]Event{}
-		slice := func(from Event, endTS int64, state string) {
+		type sliceKey struct{ tx, inc int32 }
+		open := map[sliceKey]eventlog.Event{}
+		slice := func(from eventlog.Event, endTS int64, state string) {
 			add(chromeEvent{
 				Name: fmt.Sprintf("tx%d#%d", from.Tx, from.Inc),
 				Ph:   "X", TS: usec(from.TS), Dur: usec(endTS - from.TS),
@@ -119,16 +129,56 @@ func (tr *Trace) ExportChrome(w io.Writer) error {
 				Args: map[string]any{"tx": from.Tx, "inc": from.Inc, "end": state},
 			})
 		}
-		for _, ev := range events {
+		for i, ev := range events {
 			key := sliceKey{ev.Tx, ev.Inc}
-			switch ev.Kind {
-			case EvDispatch, EvResume:
+			switch ev.Op {
+			case eventlog.OpDispatch, eventlog.OpResume:
 				open[key] = ev
-			case EvPark, EvAbort, EvCommit:
+			case eventlog.OpPark, eventlog.OpAbort, eventlog.OpCommit:
 				if from, ok := open[key]; ok {
-					slice(from, ev.TS, ev.Kind.String())
+					slice(from, ev.TS, ev.Op.String())
 					delete(open, key)
 				}
+			}
+			switch ev.Op {
+			case eventlog.OpAbort:
+				add(chromeEvent{
+					Name: fmt.Sprintf("abort tx%d#%d", ev.Tx, ev.Inc),
+					Ph:   "i", S: "t", TS: usec(ev.TS), Pid: pid, Tid: int64(ev.Worker),
+					Args: map[string]any{"cause_tx": ev.Src},
+				})
+			case eventlog.OpResume:
+				// Arrow from the publish (or drop-at-abort) by the blocking
+				// writer that released this reader: the latest publish-like
+				// event by tx ev.Src on ev.Item before the resume.
+				src := -1
+				for j := i - 1; j >= 0 && src < 0; j-- {
+					p := &events[j]
+					if p.Tx != ev.Src {
+						continue
+					}
+					switch p.Op {
+					case eventlog.OpPublish, eventlog.OpDelta:
+						if p.Item == ev.Item {
+							src = j
+						}
+					case eventlog.OpAbort:
+						src = j
+					}
+				}
+				if src < 0 {
+					continue
+				}
+				flowID++
+				args := map[string]any{"item": itemLabel(ev.Item)}
+				add(chromeEvent{
+					Name: "unblock", Cat: "dep", Ph: "s", ID: flowID,
+					TS: usec(events[src].TS), Pid: pid, Tid: int64(events[src].Worker), Args: args,
+				})
+				add(chromeEvent{
+					Name: "unblock", Cat: "dep", Ph: "f", BP: "e", ID: flowID,
+					TS: usec(ev.TS), Pid: pid, Tid: int64(ev.Worker), Args: args,
+				})
 			}
 		}
 		// Slices left open (aborted while parked, or truncated capture)
@@ -142,53 +192,6 @@ func (tr *Trace) ExportChrome(w io.Writer) error {
 			}
 			if last > from.TS {
 				slice(from, last, "truncated")
-			}
-		}
-
-		// Instants and flow arrows.
-		for _, ev := range events {
-			switch ev.Kind {
-			case EvAbort:
-				add(chromeEvent{
-					Name: fmt.Sprintf("abort tx%d#%d", ev.Tx, ev.Inc),
-					Ph:   "i", S: "t", TS: usec(ev.TS), Pid: pid, Tid: int64(ev.Worker),
-					Args: map[string]any{"cause_tx": ev.Other},
-				})
-			case EvResume:
-				// Arrow from the publish (or drop-at-abort) by the blocking
-				// writer that released this reader: the latest publish-like
-				// event by tx ev.Other on ev.Item at or before the resume.
-				var src *Event
-				for i := range events {
-					p := &events[i]
-					if p.Tx != ev.Other || p.TS > ev.TS {
-						continue
-					}
-					switch p.Kind {
-					case EvEarlyPublish, EvPublish, EvDeltaPublish, EvAbort:
-					default:
-						continue
-					}
-					if p.Kind != EvAbort && p.Item != ev.Item {
-						continue
-					}
-					if src == nil || p.TS > src.TS {
-						src = p
-					}
-				}
-				if src == nil {
-					continue
-				}
-				flowID++
-				args := map[string]any{"item": itemLabel(ev.Item)}
-				add(chromeEvent{
-					Name: "unblock", Cat: "dep", Ph: "s", ID: flowID,
-					TS: usec(src.TS), Pid: pid, Tid: int64(src.Worker), Args: args,
-				})
-				add(chromeEvent{
-					Name: "unblock", Cat: "dep", Ph: "f", BP: "e", ID: flowID,
-					TS: usec(ev.TS), Pid: pid, Tid: int64(ev.Worker), Args: args,
-				})
 			}
 		}
 	}

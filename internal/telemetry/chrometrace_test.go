@@ -6,37 +6,57 @@ import (
 	"testing"
 	"time"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
+	"dmvcc/internal/types"
+	"dmvcc/internal/u256"
 )
 
-// syntheticTrace builds a two-worker block-1 schedule: tx0 dispatches on
-// worker 0, publishes the contended item, and commits; tx1 dispatches on
-// worker 1, parks on tx0's pending version, resumes after the publish, and
-// commits. Plus one pipeline-stage span.
-func syntheticTrace() *Tracer {
-	item := testItem()
-	tr := NewTracer()
-	tr.Enable()
-	tr.SetBlock(1)
-	emit := func(kind EventKind, tx, worker int, it sag.ItemID, other int) {
-		tr.Emit(kind, tx, 0, worker, it, other)
-	}
-	emit(EvDispatch, 0, 0, sag.ItemID{}, -1)
-	emit(EvDispatch, 1, 1, sag.ItemID{}, -1)
-	emit(EvPark, 1, 1, item, 0)
-	emit(EvEarlyPublish, 0, 0, item, -1)
-	emit(EvResume, 1, 1, item, 0)
-	emit(EvCommit, 0, 0, sag.ItemID{}, -1)
-	emit(EvCommit, 1, 1, sag.ItemID{}, -1)
-	start := time.Now()
-	tr.RecordSpan(1, "execution", "dmvcc block 1", start, start.Add(time.Millisecond))
-	return tr
+func testItem() sag.ItemID {
+	return sag.StorageItem(types.HexToAddress("0xc000000000000000000000000000000000000001"), types.Hash{0x01})
 }
 
-func exportChrome(t *testing.T, tr *Tracer) chromeFile {
+// blockLog opens block 1 on a fresh enabled log and returns it with an
+// appender for incarnation-0 events.
+func blockLog() (*eventlog.Log, func(op eventlog.Op, tx, worker int, it sag.ItemID, src int)) {
+	lg := eventlog.New()
+	lg.Enable()
+	lg.Begin(1, 2)
+	return lg, func(op eventlog.Op, tx, worker int, it sag.ItemID, src int) {
+		lg.Record(op, tx, 0, worker, src, it, u256.Int{})
+	}
+}
+
+// syntheticLog builds a two-worker block-1 schedule: tx0 dispatches on
+// worker 0, publishes the contended item, and commits; tx1 dispatches on
+// worker 1, parks on tx0's pending version, resumes after the publish, and
+// commits.
+func syntheticLog() *eventlog.Log {
+	item := testItem()
+	lg, emit := blockLog()
+	emit(eventlog.OpDispatch, 0, 0, sag.ItemID{}, -1)
+	emit(eventlog.OpDispatch, 1, 1, sag.ItemID{}, -1)
+	emit(eventlog.OpPark, 1, 1, item, 0)
+	emit(eventlog.OpPublish, 0, 0, item, -1)
+	emit(eventlog.OpResume, 1, 1, item, 0)
+	emit(eventlog.OpCommit, 0, 0, sag.ItemID{}, -1)
+	emit(eventlog.OpCommit, 1, 1, sag.ItemID{}, -1)
+	return lg
+}
+
+// syntheticLedger holds one execution-stage interval for block 1.
+func syntheticLedger() *StageLedger {
+	l := NewStageLedger()
+	l.Enable()
+	l.Enter(StageExecution, 1)
+	l.Exit(StageExecution, 1)
+	return l
+}
+
+func exportChrome(t *testing.T, lg *eventlog.Log, ledger *StageLedger) chromeFile {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Snapshot().ExportChrome(&buf); err != nil {
+	if err := ExportChrome(&buf, lg, ledger); err != nil {
 		t.Fatal(err)
 	}
 	var cf chromeFile
@@ -47,7 +67,7 @@ func exportChrome(t *testing.T, tr *Tracer) chromeFile {
 }
 
 func TestExportChromeLayout(t *testing.T) {
-	cf := exportChrome(t, syntheticTrace())
+	cf := exportChrome(t, syntheticLog(), syntheticLedger())
 	if len(cf.TraceEvents) == 0 {
 		t.Fatal("empty traceEvents")
 	}
@@ -99,15 +119,12 @@ func TestExportChromeLayout(t *testing.T) {
 }
 
 func TestExportChromeEmptyTrace(t *testing.T) {
-	tr := NewTracer()
-	var buf bytes.Buffer
-	if err := tr.Snapshot().ExportChrome(&buf); err != nil {
-		t.Fatal(err)
+	for _, lg := range []*eventlog.Log{nil, eventlog.New()} {
+		if cf := exportChrome(t, lg, nil); len(cf.TraceEvents) != 0 {
+			t.Fatalf("empty log produced %d events", len(cf.TraceEvents))
+		}
 	}
-	var cf chromeFile
-	if err := json.Unmarshal(buf.Bytes(), &cf); err != nil {
-		t.Fatal(err)
-	}
+	cf := exportChrome(t, eventlog.New(), NewStageLedger())
 	if len(cf.TraceEvents) != 0 {
 		t.Fatalf("empty trace produced %d events", len(cf.TraceEvents))
 	}
@@ -116,13 +133,10 @@ func TestExportChromeEmptyTrace(t *testing.T) {
 func TestExportChromeTruncatedSlice(t *testing.T) {
 	// A dispatch with a later park-only event but no closing commit/abort
 	// must still render a visible residue slice.
-	item := testItem()
-	tr := NewTracer()
-	tr.Enable()
-	tr.SetBlock(1)
-	tr.Emit(EvDispatch, 0, 0, 0, sag.ItemID{}, -1)
-	tr.Emit(EvEarlyPublish, 0, 0, 0, item, -1)
-	cf := exportChrome(t, tr)
+	lg, emit := blockLog()
+	emit(eventlog.OpDispatch, 0, 0, sag.ItemID{}, -1)
+	emit(eventlog.OpPublish, 0, 0, testItem(), -1)
+	cf := exportChrome(t, lg, nil)
 	found := false
 	for _, ev := range cf.TraceEvents {
 		if ev.Ph == "X" && ev.Args["end"] == "truncated" {
@@ -135,7 +149,7 @@ func TestExportChromeTruncatedSlice(t *testing.T) {
 }
 
 func TestCriticalPathSyntheticChain(t *testing.T) {
-	cp := syntheticTrace().Snapshot().CriticalPath(1)
+	cp := BlockCriticalPath(syntheticLog().Block(1))
 	if cp == nil {
 		t.Fatal("nil critical path for a trace with commits")
 	}
@@ -168,12 +182,13 @@ func TestCriticalPathSyntheticChain(t *testing.T) {
 }
 
 func TestCriticalPathNoCommits(t *testing.T) {
-	tr := NewTracer()
-	tr.Enable()
-	tr.SetBlock(1)
-	tr.Emit(EvDispatch, 0, 0, 0, sag.ItemID{}, -1)
-	if cp := tr.Snapshot().CriticalPath(1); cp != nil {
+	lg, emit := blockLog()
+	emit(eventlog.OpDispatch, 0, 0, sag.ItemID{}, -1)
+	if cp := BlockCriticalPath(lg.Block(1)); cp != nil {
 		t.Fatalf("critical path without commits = %+v, want nil", cp)
+	}
+	if cp := BlockCriticalPath(lg.Block(2)); cp != nil {
+		t.Fatalf("critical path of an unrecorded block = %+v, want nil", cp)
 	}
 	// Render of a nil path must not panic.
 	var nilPath *CriticalPath
@@ -186,21 +201,19 @@ func TestCriticalPathCycleGuard(t *testing.T) {
 	// Mutual waits (possible with re-incarnations sharing tx numbers) must
 	// not loop the backward walk forever.
 	item := testItem()
-	tr := NewTracer()
-	tr.Enable()
-	tr.SetBlock(1)
-	tr.Emit(EvDispatch, 0, 0, 0, sag.ItemID{}, -1)
-	tr.Emit(EvDispatch, 1, 0, 1, sag.ItemID{}, -1)
-	tr.Emit(EvPark, 0, 0, 0, item, 1)
-	tr.Emit(EvPark, 1, 0, 1, item, 0)
-	tr.Emit(EvEarlyPublish, 0, 0, 0, item, -1)
-	tr.Emit(EvEarlyPublish, 1, 0, 1, item, -1)
-	tr.Emit(EvResume, 0, 0, 0, item, 1)
-	tr.Emit(EvResume, 1, 0, 1, item, 0)
-	tr.Emit(EvCommit, 0, 0, 0, sag.ItemID{}, -1)
-	tr.Emit(EvCommit, 1, 0, 1, sag.ItemID{}, -1)
+	lg, emit := blockLog()
+	emit(eventlog.OpDispatch, 0, 0, sag.ItemID{}, -1)
+	emit(eventlog.OpDispatch, 1, 1, sag.ItemID{}, -1)
+	emit(eventlog.OpPark, 0, 0, item, 1)
+	emit(eventlog.OpPark, 1, 1, item, 0)
+	emit(eventlog.OpPublish, 0, 0, item, -1)
+	emit(eventlog.OpPublish, 1, 1, item, -1)
+	emit(eventlog.OpResume, 0, 0, item, 1)
+	emit(eventlog.OpResume, 1, 1, item, 0)
+	emit(eventlog.OpCommit, 0, 0, sag.ItemID{}, -1)
+	emit(eventlog.OpCommit, 1, 1, sag.ItemID{}, -1)
 	done := make(chan *CriticalPath, 1)
-	go func() { done <- tr.Snapshot().CriticalPath(1) }()
+	go func() { done <- BlockCriticalPath(lg.Block(1)) }()
 	select {
 	case cp := <-done:
 		if cp == nil || len(cp.Hops) == 0 {

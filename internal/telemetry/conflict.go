@@ -1,92 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 )
-
-// AbortClass is the structured cause of one incarnation abort, derived from
-// the access-sequence state at the moment the stale read was detected.
-type AbortClass uint8
-
-const (
-	// AbortUnpredictedWrite: the invalidating version came from a write the
-	// C-SAG never predicted (a dynamically inserted entry). The victim could
-	// not have waited for it — the analysis missed the access.
-	AbortUnpredictedWrite AbortClass = iota + 1
-	// AbortSnapshotStale: the victim resolved its read from the committed
-	// snapshot (every predicted predecessor looked finished or absent at
-	// scan time) and a predicted writer published afterwards — a scheduling
-	// race, not an analysis miss.
-	AbortSnapshotStale
-	// AbortStaleVersion: the victim observed an older in-block version of a
-	// predicted writer that later republished (e.g. a writer re-incarnated
-	// after its own abort and produced a different value).
-	AbortStaleVersion
-	// AbortCascade: the victim had read a version that was dropped when its
-	// writer aborted — collateral damage propagated by Algorithm 4.
-	AbortCascade
-	// AbortInjected: a fault-injection point forced this abort (chaos
-	// testing); spurious aborts are always safe under DMVCC.
-	AbortInjected
-	// AbortWatchdog: the stall watchdog force-aborted the incarnation to
-	// recover scheduler progress.
-	AbortWatchdog
-	// AbortForced: the run was cancelled (circuit breaker trip or block
-	// error) and live incarnations were drained.
-	AbortForced
-)
-
-// String implements fmt.Stringer.
-func (c AbortClass) String() string {
-	switch c {
-	case AbortUnpredictedWrite:
-		return "unpredicted_write"
-	case AbortSnapshotStale:
-		return "snapshot_stale"
-	case AbortStaleVersion:
-		return "stale_version"
-	case AbortCascade:
-		return "cascade"
-	case AbortInjected:
-		return "fault_injected"
-	case AbortWatchdog:
-		return "watchdog_forced"
-	case AbortForced:
-		return "forced"
-	default:
-		return "unknown"
-	}
-}
-
-// MarshalText renders the class as its snake_case name in JSON.
-func (c AbortClass) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
-
-// UnmarshalText parses the snake_case class names (report round-trips).
-func (c *AbortClass) UnmarshalText(b []byte) error {
-	switch string(b) {
-	case "unpredicted_write":
-		*c = AbortUnpredictedWrite
-	case "snapshot_stale":
-		*c = AbortSnapshotStale
-	case "stale_version":
-		*c = AbortStaleVersion
-	case "cascade":
-		*c = AbortCascade
-	case "fault_injected":
-		*c = AbortInjected
-	case "watchdog_forced":
-		*c = AbortWatchdog
-	case "forced":
-		*c = AbortForced
-	default:
-		return fmt.Errorf("telemetry: unknown abort class %q", b)
-	}
-	return nil
-}
 
 // ItemProfile counts one state item's traffic within a block: how often it
 // was read, how often a read had to park on a pending version, how many
@@ -132,160 +49,11 @@ type AbortRecord struct {
 	ItemLabel string     `json:"item"`
 	// ReadSrcTx is the version the victim had observed: the writing
 	// transaction's index, or -1 when the read resolved from the snapshot.
-	ReadSrcTx int        `json:"read_src_tx"`
-	Class     AbortClass `json:"class"`
+	ReadSrcTx int                 `json:"read_src_tx"`
+	Class     eventlog.AbortClass `json:"class"`
 	// WastedGas is the virtual service time the aborted incarnation burned
 	// (full ExecCost for finished incarnations, partial progress otherwise).
 	WastedGas uint64 `json:"wasted_gas"`
-}
-
-// blockForensics is the per-block collection bucket.
-type blockForensics struct {
-	txs      int
-	items    map[sag.ItemID]*ItemProfile
-	aborts   []AbortRecord
-	byInc    map[[2]int]int    // (tx, inc) -> index into aborts
-	pending  map[[2]int]uint64 // wasted gas reported before its record landed
-	cascades int
-	audit    *BlockAudit
-	stalls   []StallReport
-	degraded string // circuit-breaker reason ("" = block completed in parallel)
-}
-
-// Forensics collects conflict forensics: per-item contention profiles,
-// structured abort records, and the C-SAG accuracy audit of each block. Like
-// the Tracer it is disabled by default and nil-receiver safe — every hot-path
-// call site guards with Enabled(), one atomic load — so executions without
-// an attached (and enabled) collector pay one predicted branch per access.
-type Forensics struct {
-	enabled atomic.Bool
-	block   atomic.Int64
-
-	mu     sync.Mutex
-	blocks map[int64]*blockForensics
-}
-
-// NewForensics returns a disabled collector.
-func NewForensics() *Forensics {
-	return &Forensics{blocks: make(map[int64]*blockForensics)}
-}
-
-// Enable switches collection on.
-func (f *Forensics) Enable() { f.enabled.Store(true) }
-
-// Disable switches collection off; collected data remains.
-func (f *Forensics) Disable() { f.enabled.Store(false) }
-
-// Enabled reports whether the collector is recording. It is the hot-path
-// guard: nil-safe, one atomic load, inlineable.
-func (f *Forensics) Enabled() bool { return f != nil && f.enabled.Load() }
-
-// BeginBlock opens the collection bucket for a block (blocks execute one at
-// a time; the single current-block register mirrors Tracer.SetBlock).
-// Re-executing the same block number resets its bucket.
-func (f *Forensics) BeginBlock(block int64, txs int) {
-	if !f.Enabled() {
-		return
-	}
-	f.block.Store(block)
-	f.mu.Lock()
-	f.blocks[block] = &blockForensics{
-		txs:     txs,
-		items:   make(map[sag.ItemID]*ItemProfile),
-		byInc:   make(map[[2]int]int),
-		pending: make(map[[2]int]uint64),
-	}
-	f.mu.Unlock()
-}
-
-// cur returns the current block's bucket, creating it if BeginBlock was
-// skipped. Called with f.mu held.
-func (f *Forensics) cur() *blockForensics {
-	b := f.block.Load()
-	bf, ok := f.blocks[b]
-	if !ok {
-		bf = &blockForensics{
-			items:   make(map[sag.ItemID]*ItemProfile),
-			byInc:   make(map[[2]int]int),
-			pending: make(map[[2]int]uint64),
-		}
-		if f.blocks == nil {
-			f.blocks = make(map[int64]*blockForensics)
-		}
-		f.blocks[b] = bf
-	}
-	return bf
-}
-
-// profile returns the current block's profile of id. Called with f.mu held.
-func (f *Forensics) profile(id sag.ItemID) *ItemProfile {
-	bf := f.cur()
-	p, ok := bf.items[id]
-	if !ok {
-		p = &ItemProfile{}
-		bf.items[id] = p
-	}
-	return p
-}
-
-// RecordRead counts one resolved read of id.
-func (f *Forensics) RecordRead(id sag.ItemID) {
-	if !f.Enabled() {
-		return
-	}
-	f.mu.Lock()
-	f.profile(id).Reads++
-	f.mu.Unlock()
-}
-
-// RecordBlockedRead counts one read that parked on a pending version of id.
-func (f *Forensics) RecordBlockedRead(id sag.ItemID) {
-	if !f.Enabled() {
-		return
-	}
-	f.mu.Lock()
-	f.profile(id).BlockedReads++
-	f.mu.Unlock()
-}
-
-// RecordWrite counts one published absolute version of id; early flags
-// release-point publishes (§IV-C) as opposed to finish-time ones.
-func (f *Forensics) RecordWrite(id sag.ItemID, early bool) {
-	if !f.Enabled() {
-		return
-	}
-	f.mu.Lock()
-	p := f.profile(id)
-	p.Writes++
-	if early {
-		p.EarlyPublishes++
-	}
-	f.mu.Unlock()
-}
-
-// RecordDelta counts one commutative delta contribution merged into id.
-func (f *Forensics) RecordDelta(id sag.ItemID) {
-	if !f.Enabled() {
-		return
-	}
-	f.mu.Lock()
-	f.profile(id).DeltaMerges++
-	f.mu.Unlock()
-}
-
-// NextCascade allocates a cascade id within the current block. The abort
-// path calls it once per cascade (lazily, on the first real victim) and
-// stamps every record of the worklist with it.
-func (f *Forensics) NextCascade() int {
-	if !f.Enabled() {
-		return -1
-	}
-	f.mu.Lock()
-	bf := f.cur()
-	id := bf.cascades
-	bf.cascades++
-	f.mu.Unlock()
-	return id
 }
 
 // forensicLabel renders an item for forensic reports. It uses ItemID.Label
@@ -299,128 +67,70 @@ func forensicLabel(id sag.ItemID) string {
 	return id.Label()
 }
 
-// RecordAbort stores one structured abort record, stamping its sequence
-// number, bumping the item's abort count, and folding in any wasted gas the
-// dying incarnation reported before the record landed.
-func (f *Forensics) RecordAbort(rec AbortRecord) {
-	if !f.Enabled() {
-		return
-	}
-	rec.ItemLabel = forensicLabel(rec.Item)
-	f.mu.Lock()
-	bf := f.cur()
-	rec.Seq = len(bf.aborts)
-	key := [2]int{rec.Tx, rec.Inc}
-	if w, ok := bf.pending[key]; ok {
-		rec.WastedGas += w
-		delete(bf.pending, key)
-	}
-	bf.byInc[key] = rec.Seq
-	bf.aborts = append(bf.aborts, rec)
-	if rec.Item != (sag.ItemID{}) {
-		p, ok := bf.items[rec.Item]
+// ItemProfiles folds a block's events into per-item contention profiles.
+// Resumes and drops are not traffic and create no profile.
+func ItemProfiles(events []eventlog.Event) map[sag.ItemID]*ItemProfile {
+	items := make(map[sag.ItemID]*ItemProfile)
+	profile := func(id sag.ItemID) *ItemProfile {
+		p, ok := items[id]
 		if !ok {
 			p = &ItemProfile{}
-			bf.items[rec.Item] = p
+			items[id] = p
 		}
-		p.Aborts++
+		return p
 	}
-	f.mu.Unlock()
+	for _, ev := range events {
+		if ev.Item.Kind == 0 {
+			continue
+		}
+		switch ev.Op {
+		case eventlog.OpRead:
+			profile(ev.Item).Reads++
+		case eventlog.OpPark:
+			profile(ev.Item).BlockedReads++
+		case eventlog.OpPublish:
+			p := profile(ev.Item)
+			p.Writes++
+			if ev.Early {
+				p.EarlyPublishes++
+			}
+		case eventlog.OpDelta:
+			profile(ev.Item).DeltaMerges++
+		case eventlog.OpAbort:
+			profile(ev.Item).Aborts++
+		}
+	}
+	return items
 }
 
-// AttributeWasted adds gas burned by an aborted incarnation to its abort
-// record. Incarnations killed mid-flight account their partial progress
-// themselves when they observe the abort — which can race ahead of the
-// aborter publishing the record, so unmatched amounts park in a pending map
-// until RecordAbort folds them in.
-func (f *Forensics) AttributeWasted(tx, inc int, gas uint64) {
-	if !f.Enabled() {
-		return
-	}
-	f.mu.Lock()
-	bf := f.cur()
-	key := [2]int{tx, inc}
-	if i, ok := bf.byInc[key]; ok {
-		bf.aborts[i].WastedGas += gas
-	} else {
-		bf.pending[key] += gas
-	}
-	f.mu.Unlock()
-}
-
-// RecordAudit attaches a block's C-SAG accuracy audit (keyed by a.Block).
-func (f *Forensics) RecordAudit(a *BlockAudit) {
-	if !f.Enabled() || a == nil {
-		return
-	}
-	f.mu.Lock()
-	bf, ok := f.blocks[a.Block]
-	if !ok {
-		bf = &blockForensics{
-			items:   make(map[sag.ItemID]*ItemProfile),
-			byInc:   make(map[[2]int]int),
-			pending: make(map[[2]int]uint64),
+// AbortRecords extracts one record per abort event, in abort order. An
+// incarnation killed mid-flight reports its partial gas in a separate wasted
+// event that may land on either side of the abort; both are summed into the
+// record here.
+func AbortRecords(events []eventlog.Event) []AbortRecord {
+	type incKey struct{ tx, inc int32 }
+	partial := make(map[incKey]uint64)
+	for _, ev := range events {
+		if ev.Op == eventlog.OpWasted {
+			partial[incKey{ev.Tx, ev.Inc}] += ev.Gas
 		}
-		f.blocks[a.Block] = bf
 	}
-	bf.audit = a
-	f.mu.Unlock()
-}
-
-// Blocks lists the block numbers with collected forensics, ascending.
-func (f *Forensics) Blocks() []int64 {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]int64, 0, len(f.blocks))
-	for b := range f.blocks {
-		out = append(out, b)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	var out []AbortRecord
+	for _, ev := range events {
+		if ev.Op != eventlog.OpAbort {
+			continue
 		}
+		rec := AbortRecord{
+			Seq: len(out), Tx: int(ev.Tx), Inc: int(ev.Inc),
+			Cascade: -1, Parent: -1, CauseTx: int(ev.Src), ReadSrcTx: -1,
+			Item: ev.Item, ItemLabel: forensicLabel(ev.Item),
+			WastedGas: ev.Gas + partial[incKey{ev.Tx, ev.Inc}],
+		}
+		if a := ev.Abort; a != nil {
+			rec.Cascade, rec.Parent = int(a.Cascade), int(a.Parent)
+			rec.WriterInc, rec.ReadSrcTx, rec.Class = int(a.WriterInc), int(a.ReadSrc), a.Class
+		}
+		out = append(out, rec)
 	}
 	return out
-}
-
-// AbortRecords returns a copy of the block's abort records in abort order.
-func (f *Forensics) AbortRecords(block int64) []AbortRecord {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	bf := f.blocks[block]
-	if bf == nil {
-		return nil
-	}
-	out := make([]AbortRecord, len(bf.aborts))
-	copy(out, bf.aborts)
-	return out
-}
-
-// Audit returns the block's C-SAG accuracy audit, or nil.
-func (f *Forensics) Audit(block int64) *BlockAudit {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if bf := f.blocks[block]; bf != nil {
-		return bf.audit
-	}
-	return nil
-}
-
-// Reset discards collected data (the enabled flag is untouched).
-func (f *Forensics) Reset() {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.blocks = make(map[int64]*blockForensics)
-	f.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/types"
 )
@@ -12,55 +13,57 @@ func fxItem(b byte) sag.ItemID {
 	return sag.BalanceItem(types.Address{0: 0xaa, 19: b})
 }
 
-func TestForensicsDisabledNoops(t *testing.T) {
-	var nilFx *Forensics
-	if nilFx.Enabled() {
-		t.Fatal("nil collector reports enabled")
-	}
-	// Every hook must be callable on a nil or disabled collector.
-	nilFx.RecordRead(fxItem(1))
-	nilFx.AttributeWasted(0, 0, 5)
-	nilFx.RecordAbort(AbortRecord{})
+// access is one item-traffic event of tx 0.
+func access(op eventlog.Op, id sag.ItemID, early bool) eventlog.Event {
+	return eventlog.Event{Op: op, Early: early, Worker: -1, Src: -1, Item: id}
+}
 
-	fx := NewForensics()
-	if fx.Enabled() {
-		t.Fatal("fresh collector enabled")
-	}
-	fx.BeginBlock(1, 10)
-	fx.RecordRead(fxItem(1))
-	fx.RecordWrite(fxItem(1), true)
-	fx.RecordAbort(AbortRecord{Tx: 0})
-	if got := fx.Blocks(); len(got) != 0 {
-		t.Fatalf("disabled collector accumulated blocks: %v", got)
-	}
-	if fx.PostMortem(1) != nil {
-		t.Fatal("disabled collector produced a post-mortem")
+// abortEv is one abort event with its forensic detail.
+func abortEv(tx, inc, cascade, parent, cause int, id sag.ItemID, readSrc int, class eventlog.AbortClass, gas uint64) eventlog.Event {
+	return eventlog.Event{
+		Op: eventlog.OpAbort, Tx: int32(tx), Inc: int32(inc), Worker: -1, Src: int32(cause), Item: id, Gas: gas,
+		Abort: &eventlog.AbortInfo{Class: class, Cascade: int32(cascade), Parent: int32(parent), ReadSrc: int32(readSrc)},
 	}
 }
 
-func TestForensicsProfilesAndHotKeyRanking(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(3, 4)
+func wastedEv(tx, inc int, gas uint64) eventlog.Event {
+	return eventlog.Event{Op: eventlog.OpWasted, Tx: int32(tx), Inc: int32(inc), Worker: -1, Src: -1, Gas: gas}
+}
 
+func TestPostMortemUnrecordedBlock(t *testing.T) {
+	if BlockPostMortem(nil) != nil {
+		t.Fatal("unrecorded block produced a post-mortem")
+	}
+	var nilLog *eventlog.Log
+	if BlockPostMortem(nilLog.Block(1)) != nil {
+		t.Fatal("nil log produced a post-mortem")
+	}
+}
+
+func TestProfilesAndHotKeyRanking(t *testing.T) {
 	cold, hot := fxItem(1), fxItem(2)
 	// cold: many plain accesses, no aborts. hot: fewer accesses, one abort.
+	var events []eventlog.Event
 	for i := 0; i < 10; i++ {
-		fx.RecordRead(cold)
+		events = append(events, access(eventlog.OpRead, cold, false))
 	}
-	fx.RecordWrite(cold, false)
-	fx.RecordDelta(cold)
-	fx.RecordRead(hot)
-	fx.RecordBlockedRead(hot)
-	fx.RecordWrite(hot, true)
-	fx.RecordAbort(AbortRecord{
-		Tx: 1, Cascade: fx.NextCascade(), Parent: -1, CauseTx: 0,
-		Item: hot, ReadSrcTx: -1, Class: AbortUnpredictedWrite,
-	})
+	events = append(events,
+		access(eventlog.OpPublish, cold, false),
+		access(eventlog.OpDelta, cold, true), // early deltas are not early *writes*
+		access(eventlog.OpRead, hot, false),
+		access(eventlog.OpPark, hot, false),
+		access(eventlog.OpResume, hot, false),
+		access(eventlog.OpPublish, hot, true),
+		access(eventlog.OpDrop, fxItem(3), false), // drops are not traffic
+		abortEv(1, 0, 0, -1, 0, hot, -1, eventlog.AbortUnpredictedWrite, 0),
+	)
 
-	pm := fx.PostMortem(3)
+	pm := BlockPostMortem(&eventlog.Block{Number: 3, Txs: 4, Events: events})
 	if pm == nil {
 		t.Fatal("no post-mortem")
+	}
+	if pm.Block != 3 || pm.Txs != 4 {
+		t.Fatalf("post-mortem header = block %d / %d txs", pm.Block, pm.Txs)
 	}
 	if pm.TotalItems != 2 || len(pm.HotKeys) != 2 {
 		t.Fatalf("items = %d / hot keys = %d, want 2/2", pm.TotalItems, len(pm.HotKeys))
@@ -74,68 +77,54 @@ func TestForensicsProfilesAndHotKeyRanking(t *testing.T) {
 		t.Fatalf("hot profile = %+v", top.ItemProfile)
 	}
 	second := pm.HotKeys[1]
-	if second.Reads != 10 || second.Writes != 1 || second.DeltaMerges != 1 || second.Aborts != 0 {
+	if second.Reads != 10 || second.Writes != 1 || second.EarlyPublishes != 0 || second.DeltaMerges != 1 || second.Aborts != 0 {
 		t.Fatalf("cold profile = %+v", second.ItemProfile)
 	}
 }
 
-// TestForensicsWastedGasOrdering pins the race contract between the aborter
-// (RecordAbort) and the dying incarnation (AttributeWasted): the wasted gas
-// lands on the record regardless of which call happens first.
-func TestForensicsWastedGasOrdering(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(1, 4)
-
-	// Incarnation reports its wasted work before the abort record lands.
-	fx.AttributeWasted(2, 0, 100)
-	fx.RecordAbort(AbortRecord{
-		Tx: 2, Inc: 0, Cascade: fx.NextCascade(), Parent: -1, CauseTx: 1,
-		Item: fxItem(1), ReadSrcTx: -1, Class: AbortUnpredictedWrite, WastedGas: 7,
-	})
-	// And the opposite order for a different incarnation.
-	fx.RecordAbort(AbortRecord{
-		Tx: 3, Inc: 0, Cascade: fx.NextCascade(), Parent: -1, CauseTx: 1,
-		Item: fxItem(1), ReadSrcTx: -1, Class: AbortStaleVersion,
-	})
-	fx.AttributeWasted(3, 0, 50)
-
-	recs := fx.AbortRecords(1)
+// TestWastedGasOrdering pins the join between the aborter's abort event and
+// the dying incarnation's wasted event: the wasted gas lands on the record
+// regardless of which was stamped first.
+func TestWastedGasOrdering(t *testing.T) {
+	events := []eventlog.Event{
+		// Incarnation reports its wasted work before the abort lands.
+		wastedEv(2, 0, 100),
+		abortEv(2, 0, 0, -1, 1, fxItem(1), -1, eventlog.AbortUnpredictedWrite, 7),
+		// And the opposite order for a different incarnation.
+		abortEv(3, 0, 1, -1, 1, fxItem(1), -1, eventlog.AbortStaleVersion, 0),
+		wastedEv(3, 0, 50),
+		// A later incarnation of the same tx keeps its own account.
+		wastedEv(3, 1, 9),
+	}
+	recs := AbortRecords(events)
 	if len(recs) != 2 {
 		t.Fatalf("%d records, want 2", len(recs))
 	}
 	if recs[0].WastedGas != 107 {
-		t.Fatalf("pre-attributed wasted = %d, want 107 (pending drained into record)", recs[0].WastedGas)
+		t.Fatalf("wasted-before-abort = %d, want 107", recs[0].WastedGas)
 	}
 	if recs[1].WastedGas != 50 {
-		t.Fatalf("post-attributed wasted = %d, want 50", recs[1].WastedGas)
+		t.Fatalf("wasted-after-abort = %d, want 50", recs[1].WastedGas)
 	}
-	pm := fx.PostMortem(1)
-	if pm.WastedGas != 157 {
+	if recs[0].Seq != 0 || recs[1].Seq != 1 {
+		t.Fatalf("record seqs = %d,%d, want abort order", recs[0].Seq, recs[1].Seq)
+	}
+	if pm := BlockPostMortem(&eventlog.Block{Number: 1, Events: events}); pm.WastedGas != 157 {
 		t.Fatalf("post-mortem wasted = %d, want 157", pm.WastedGas)
 	}
 }
 
-func TestForensicsCascadeTrees(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(2, 8)
-
+func TestCascadeTrees(t *testing.T) {
 	item := fxItem(4)
-	c0 := fx.NextCascade()
-	// Root victim tx3, whose dropped versions cascade into tx5, then tx6.
-	fx.RecordAbort(AbortRecord{Tx: 3, Inc: 0, Cascade: c0, Parent: -1, CauseTx: 1,
-		Item: item, ReadSrcTx: 1, Class: AbortUnpredictedWrite, WastedGas: 10})
-	fx.RecordAbort(AbortRecord{Tx: 5, Inc: 0, Cascade: c0, Parent: 3, CauseTx: 3,
-		Item: item, ReadSrcTx: 3, Class: AbortCascade, WastedGas: 20})
-	fx.RecordAbort(AbortRecord{Tx: 6, Inc: 0, Cascade: c0, Parent: 5, CauseTx: 5,
-		Item: item, ReadSrcTx: 5, Class: AbortCascade, WastedGas: 30})
-	// An unrelated single-victim cascade.
-	c1 := fx.NextCascade()
-	fx.RecordAbort(AbortRecord{Tx: 7, Inc: 1, Cascade: c1, Parent: -1, CauseTx: 2,
-		Item: fxItem(5), ReadSrcTx: -1, Class: AbortSnapshotStale, WastedGas: 5})
-
-	pm := fx.PostMortem(2)
+	events := []eventlog.Event{
+		// Root victim tx3, whose dropped versions cascade into tx5, then tx6.
+		abortEv(3, 0, 0, -1, 1, item, 1, eventlog.AbortUnpredictedWrite, 10),
+		abortEv(5, 0, 0, 3, 3, item, 3, eventlog.AbortCascade, 20),
+		abortEv(6, 0, 0, 5, 5, item, 5, eventlog.AbortCascade, 30),
+		// An unrelated single-victim cascade.
+		abortEv(7, 1, 1, -1, 2, fxItem(5), -1, eventlog.AbortSnapshotStale, 5),
+	}
+	pm := BlockPostMortem(&eventlog.Block{Number: 2, Txs: 8, Events: events})
 	if pm.Aborts != 4 || len(pm.Cascades) != 2 {
 		t.Fatalf("aborts = %d cascades = %d, want 4/2", pm.Aborts, len(pm.Cascades))
 	}
@@ -164,37 +153,33 @@ func TestForensicsCascadeTrees(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Cascades[0].Root.Children[0].Class != AbortCascade {
+	if back.Cascades[0].Root.Children[0].Class != eventlog.AbortCascade {
 		t.Fatalf("class did not round-trip: %v", back.Cascades[0].Root.Children[0].Class)
 	}
 }
 
-// TestRecordAuditKeying pins that audits attach to the block they describe,
-// not the collector's current block register.
-func TestRecordAuditKeying(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(1, 2)
-	fx.BeginBlock(2, 2) // register moved on
-	fx.RecordAudit(&BlockAudit{Block: 1, Txs: 2})
-	if a := fx.Audit(1); a == nil || a.Block != 1 {
-		t.Fatalf("audit for block 1 = %+v", a)
-	}
-	if a := fx.Audit(2); a != nil {
-		t.Fatalf("block 2 unexpectedly has an audit: %+v", a)
-	}
-}
+// TestReportsAttachToTheirBlock pins that block-level reports (the audit,
+// stall dumps, the degradation mark) land on the block they describe and
+// surface in its post-mortem — not on whichever block is current.
+func TestReportsAttachToTheirBlock(t *testing.T) {
+	lg := eventlog.New()
+	lg.Enable()
+	lg.Begin(1, 2)
+	lg.SetDegraded(1, "breaker")
+	lg.Begin(2, 2) // register moved on
+	lg.AddReport(1, &BlockAudit{Block: 1, Txs: 2})
+	lg.AddReport(1, StallReport{Block: 1, Attempt: 1})
+	lg.AddReport(9, StallReport{Block: 9}) // unrecorded block: dropped
 
-func TestForensicsReset(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(1, 1)
-	fx.RecordRead(fxItem(1))
-	fx.Reset()
-	if got := fx.Blocks(); len(got) != 0 {
-		t.Fatalf("blocks after reset: %v", got)
+	pm := BlockPostMortem(lg.Block(1))
+	if pm.Audit == nil || pm.Audit.Block != 1 || pm.Stalls != 1 || pm.Degraded != "breaker" {
+		t.Fatalf("block 1 post-mortem = audit %+v, %d stalls, degraded %q", pm.Audit, pm.Stalls, pm.Degraded)
 	}
-	if !fx.Enabled() {
-		t.Fatal("reset must not disable the collector")
+	pm = BlockPostMortem(lg.Block(2))
+	if pm.Audit != nil || pm.Stalls != 0 || pm.Degraded != "" {
+		t.Fatalf("block 2 unexpectedly carries block 1's reports: %+v", pm)
+	}
+	if lg.Block(9) != nil {
+		t.Fatal("a report created a block record")
 	}
 }

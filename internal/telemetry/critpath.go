@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"dmvcc/internal/eventlog"
 )
 
 // PathHop is one link of the critical path: transaction Tx ran for RunNs of
@@ -31,25 +33,28 @@ type CriticalPath struct {
 	Hops   []PathHop `json:"hops"`
 }
 
-// CriticalPath analyzes the event stream of one block and returns the
+// BlockCriticalPath analyzes one block's event log and returns the
 // dependency chain that bounds its makespan: starting from the transaction
 // whose commit ended the block, each hop follows the latest-resolving wait
 // back to the transaction that published the version the waiter parked on.
 // Transactions that never waited terminate the chain. Returns nil when the
-// block has no commit events.
-func (tr *Trace) CriticalPath(block int64) *CriticalPath {
-	events := tr.BlockTrace(block).Events
+// block is nil or has no commit events.
+func BlockCriticalPath(b *eventlog.Block) *CriticalPath {
+	if b == nil {
+		return nil
+	}
+	events := b.Events
 	type txInfo struct {
-		inc      int // final (committed) incarnation
+		inc      int32 // final (committed) incarnation
 		dispatch int64
 		commit   int64
 		runNs    int64
 		// waits of the final incarnation: resume events carrying the
 		// blocking writer and item.
-		waits []Event
+		waits []eventlog.Event
 	}
-	infos := map[int]*txInfo{}
-	info := func(tx int) *txInfo {
+	infos := map[int32]*txInfo{}
+	info := func(tx int32) *txInfo {
 		ti, ok := infos[tx]
 		if !ok {
 			ti = &txInfo{inc: -1}
@@ -59,7 +64,7 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 	}
 	// The committed incarnation is the highest one that committed.
 	for _, ev := range events {
-		if ev.Kind == EvCommit {
+		if ev.Op == eventlog.OpCommit {
 			if ti := info(ev.Tx); ev.Inc > ti.inc {
 				ti.inc = ev.Inc
 				ti.commit = ev.TS
@@ -67,27 +72,20 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 		}
 	}
 	// Accumulate running time and waits of each final incarnation.
-	openTS := map[int]int64{}
-	parkTS := map[int]int64{}
+	openTS := map[int32]int64{}
 	for _, ev := range events {
 		ti := infos[ev.Tx]
 		if ti == nil || ev.Inc != ti.inc {
 			continue
 		}
-		switch ev.Kind {
-		case EvDispatch:
+		switch ev.Op {
+		case eventlog.OpDispatch:
 			ti.dispatch = ev.TS
 			openTS[ev.Tx] = ev.TS
-		case EvResume:
+		case eventlog.OpResume:
 			openTS[ev.Tx] = ev.TS
 			ti.waits = append(ti.waits, ev)
-		case EvPark:
-			if start, ok := openTS[ev.Tx]; ok {
-				ti.runNs += ev.TS - start
-				delete(openTS, ev.Tx)
-			}
-			parkTS[ev.Tx] = ev.TS
-		case EvCommit:
+		case eventlog.OpPark, eventlog.OpCommit:
 			if start, ok := openTS[ev.Tx]; ok {
 				ti.runNs += ev.TS - start
 				delete(openTS, ev.Tx)
@@ -95,7 +93,7 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 		}
 	}
 
-	var lastTx, firstTx int
+	var lastTx int32
 	var lastCommit, firstDispatch int64 = -1, -1
 	for tx, ti := range infos {
 		if ti.inc < 0 {
@@ -105,16 +103,15 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 			lastCommit, lastTx = ti.commit, tx
 		}
 		if firstDispatch < 0 || ti.dispatch < firstDispatch {
-			firstDispatch, firstTx = ti.dispatch, tx
+			firstDispatch = ti.dispatch
 		}
 	}
-	_ = firstTx
 	if lastCommit < 0 {
 		return nil
 	}
 
-	cp := &CriticalPath{Block: block, MakespanNs: lastCommit - firstDispatch}
-	visited := map[int]bool{}
+	cp := &CriticalPath{Block: b.Number, MakespanNs: lastCommit - firstDispatch}
+	visited := map[int32]bool{}
 	tx := lastTx
 	for !visited[tx] {
 		visited[tx] = true
@@ -122,10 +119,10 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 		if ti == nil || ti.inc < 0 {
 			break
 		}
-		hop := PathHop{Tx: tx, RunNs: ti.runNs}
+		hop := PathHop{Tx: int(tx), RunNs: ti.runNs}
 		// Follow the wait that resolved last — the one that actually
 		// delayed this transaction's completion.
-		var latest *Event
+		var latest *eventlog.Event
 		for i := range ti.waits {
 			if latest == nil || ti.waits[i].TS > latest.TS {
 				latest = &ti.waits[i]
@@ -133,12 +130,12 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 		}
 		if latest != nil {
 			hop.Item = itemLabel(latest.Item)
-			hop.BlockedOn = latest.Other
+			hop.BlockedOn = int(latest.Src)
 			// Wait attributed to this hop: from the incarnation's park on
 			// that item to the resume.
 			hop.WaitNs = latest.TS - ti.dispatch
 			for _, ev := range events {
-				if ev.Tx == tx && ev.Inc == ti.inc && ev.Kind == EvPark && ev.TS <= latest.TS {
+				if ev.Tx == tx && ev.Inc == ti.inc && ev.Op == eventlog.OpPark && ev.TS <= latest.TS {
 					hop.WaitNs = latest.TS - ev.TS
 				}
 			}
@@ -147,7 +144,7 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 		if latest == nil {
 			break
 		}
-		tx = latest.Other
+		tx = latest.Src
 	}
 	// Reverse: report chain from root to the last-committing transaction.
 	for i, j := 0, len(cp.Hops)-1; i < j; i, j = i+1, j-1 {
@@ -159,7 +156,7 @@ func (tr *Trace) CriticalPath(block int64) *CriticalPath {
 	// would understate the window.
 	chainStart := lastCommit
 	for _, h := range cp.Hops {
-		if ti := infos[h.Tx]; ti != nil && ti.dispatch > 0 && ti.dispatch < chainStart {
+		if ti := infos[int32(h.Tx)]; ti != nil && ti.dispatch > 0 && ti.dispatch < chainStart {
 			chainStart = ti.dispatch
 		}
 	}

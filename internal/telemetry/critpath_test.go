@@ -3,6 +3,8 @@ package telemetry
 import (
 	"strings"
 	"testing"
+
+	"dmvcc/internal/eventlog"
 )
 
 // abortHeavyTrace builds a block-1 schedule where the critical transaction
@@ -16,24 +18,24 @@ import (
 // The chain bounding the makespan must route through the committed
 // incarnation (inc1): its wait is 55-30=25, not the discarded inc0's
 // 55-10=45, and its running time is (30-25)+(100-55)=50.
-func abortHeavyTrace() *Trace {
+func abortHeavyTrace() *eventlog.Block {
 	item := testItem()
-	return &Trace{Events: []Event{
-		{TS: 0, Block: 1, Kind: EvDispatch, Tx: 0, Inc: 0, Worker: 0, Other: -1},
-		{TS: 5, Block: 1, Kind: EvDispatch, Tx: 1, Inc: 0, Worker: 1, Other: -1},
-		{TS: 10, Block: 1, Kind: EvPark, Tx: 1, Inc: 0, Worker: 1, Item: item, Other: 0},
-		{TS: 20, Block: 1, Kind: EvAbort, Tx: 1, Inc: 0, Worker: 1, Item: item, Other: 0},
-		{TS: 25, Block: 1, Kind: EvDispatch, Tx: 1, Inc: 1, Worker: 1, Other: -1},
-		{TS: 30, Block: 1, Kind: EvPark, Tx: 1, Inc: 1, Worker: 1, Item: item, Other: 0},
-		{TS: 40, Block: 1, Kind: EvEarlyPublish, Tx: 0, Inc: 0, Worker: 0, Item: item, Other: -1},
-		{TS: 55, Block: 1, Kind: EvResume, Tx: 1, Inc: 1, Worker: 1, Item: item, Other: 0},
-		{TS: 60, Block: 1, Kind: EvCommit, Tx: 0, Inc: 0, Worker: 0, Other: -1},
-		{TS: 100, Block: 1, Kind: EvCommit, Tx: 1, Inc: 1, Worker: 1, Other: -1},
+	return &eventlog.Block{Number: 1, Txs: 2, Events: []eventlog.Event{
+		{TS: 0, Op: eventlog.OpDispatch, Tx: 0, Inc: 0, Worker: 0, Src: -1},
+		{TS: 5, Op: eventlog.OpDispatch, Tx: 1, Inc: 0, Worker: 1, Src: -1},
+		{TS: 10, Op: eventlog.OpPark, Tx: 1, Inc: 0, Worker: 1, Item: item, Src: 0},
+		{TS: 20, Op: eventlog.OpAbort, Tx: 1, Inc: 0, Worker: 1, Item: item, Src: 0},
+		{TS: 25, Op: eventlog.OpDispatch, Tx: 1, Inc: 1, Worker: 1, Src: -1},
+		{TS: 30, Op: eventlog.OpPark, Tx: 1, Inc: 1, Worker: 1, Item: item, Src: 0},
+		{TS: 40, Op: eventlog.OpPublish, Early: true, Tx: 0, Inc: 0, Worker: 0, Item: item, Src: -1},
+		{TS: 55, Op: eventlog.OpResume, Tx: 1, Inc: 1, Worker: 1, Item: item, Src: 0},
+		{TS: 60, Op: eventlog.OpCommit, Tx: 0, Inc: 0, Worker: 0, Src: -1},
+		{TS: 100, Op: eventlog.OpCommit, Tx: 1, Inc: 1, Worker: 1, Src: -1},
 	}}
 }
 
 func TestCriticalPathRoutesThroughFinalIncarnation(t *testing.T) {
-	cp := abortHeavyTrace().CriticalPath(1)
+	cp := BlockCriticalPath(abortHeavyTrace())
 	if cp == nil {
 		t.Fatal("no critical path")
 	}

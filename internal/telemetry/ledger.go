@@ -73,8 +73,9 @@ type stageState struct {
 // inter-block gaps, commit lag, and backpressure counters derive. Events fire
 // once per stage per block — never on the transaction hot path — and every
 // hook is nil-safe behind a one-atomic-load Enabled() guard, in the style of
-// Tracer, so a disabled (or absent) ledger costs one predicted branch per
-// block stage.
+// eventlog.Log, so a disabled (or absent) ledger costs one predicted branch
+// per block stage. The interval log is also what the Chrome export draws its
+// pipeline tracks from.
 type StageLedger struct {
 	enabled atomic.Bool
 	epoch   time.Time
@@ -146,6 +147,9 @@ func (l *StageLedger) Disable() { l.enabled.Store(false) }
 // Enabled reports whether the ledger is collecting. Nil-safe, one atomic
 // load — the per-callsite guard.
 func (l *StageLedger) Enabled() bool { return l != nil && l.enabled.Load() }
+
+// Epoch is the instant interval timestamps count from (restarted by Reset).
+func (l *StageLedger) Epoch() time.Time { return l.epoch }
 
 // Now returns the ledger-relative monotonic timestamp in nanoseconds.
 func (l *StageLedger) Now() int64 { return int64(time.Since(l.epoch)) }

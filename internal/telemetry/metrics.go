@@ -1,3 +1,12 @@
+// Package telemetry is the repo's observability substrate: the readers of
+// the scheduler event log (internal/eventlog) — a Chrome trace-event /
+// Perfetto exporter rendering block executions as per-worker timelines, a
+// critical-path analyzer, conflict post-mortems (hot keys, cascade trees,
+// C-SAG accuracy audit) and stall dumps — plus a metrics registry (counters,
+// gauges, histograms) unifying the per-subsystem stats structs, the node-level
+// stage-occupancy ledger with its rolling time series, and a live HTTP
+// introspection endpoint. Every reader is a pure function over a block's
+// events; nothing here is written to from the scheduler hot path.
 package telemetry
 
 import (

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dmvcc/internal/eventlog"
 )
 
 // expvar.Publish panics on duplicate names and has no replace API, so the
@@ -109,9 +111,11 @@ type endpointInfo struct {
 // /telemetry/divergence/<n>, the rolling node timeline at
 // /telemetry/timeline (JSON ring-buffer snapshot + ledger summary + live
 // gap audit) with its live dashboard at /telemetry/dashboard, and an index
-// of all of the above at /telemetry/. reg, tr, fx, dv and tl may be nil;
-// the corresponding endpoints then report 404.
-func Handler(reg *Registry, tr *Tracer, fx *Forensics, dv *DivergenceStore, tl *Timeline) http.Handler {
+// of all of the above at /telemetry/. The per-block endpoints are readers of
+// the one scheduler event log and answer 404 for blocks it never recorded or
+// has evicted. reg, log, dv and tl may be nil; the corresponding endpoints
+// then report 404.
+func Handler(reg *Registry, log *eventlog.Log, dv *DivergenceStore, tl *Timeline) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -145,75 +149,87 @@ func Handler(reg *Registry, tr *Tracer, fx *Forensics, dv *DivergenceStore, tl *
 		return strconv.ParseInt(strings.Trim(s, "/"), 10, 64)
 	}
 
-	mux.HandleFunc("/telemetry/block/", func(w http.ResponseWriter, r *http.Request) {
-		if tr == nil {
+	// blockOf resolves the <n> of a per-block endpoint to the log's record,
+	// writing the 400/404 itself when it cannot.
+	blockOf := func(w http.ResponseWriter, r *http.Request, prefix string) *eventlog.Block {
+		if log == nil {
 			http.NotFound(w, r)
-			return
+			return nil
 		}
-		n, err := blockArg(r, "/telemetry/block/")
+		n, err := blockArg(r, prefix)
 		if err != nil {
-			http.Error(w, "usage: /telemetry/block/<n>", http.StatusBadRequest)
-			return
+			http.Error(w, "usage: "+prefix+"<n>", http.StatusBadRequest)
+			return nil
 		}
-		bt := tr.Snapshot().BlockTrace(n)
-		if len(bt.Events) == 0 && len(bt.Spans) == 0 {
-			http.Error(w, fmt.Sprintf("no telemetry for block %d", n), http.StatusNotFound)
+		b := log.Block(n)
+		if b == nil {
+			http.Error(w, fmt.Sprintf("block %d not recorded (or evicted)", n), http.StatusNotFound)
+		}
+		return b
+	}
+
+	mux.HandleFunc("/telemetry/block/", func(w http.ResponseWriter, r *http.Request) {
+		b := blockOf(w, r, "/telemetry/block/")
+		if b == nil {
 			return
 		}
 		type jsonEvent struct {
 			TS     int64  `json:"ts_ns"`
 			Kind   string `json:"kind"`
-			Tx     int    `json:"tx"`
-			Inc    int    `json:"inc"`
-			Worker int    `json:"worker"`
+			Tx     int32  `json:"tx"`
+			Inc    int32  `json:"inc"`
+			Worker int32  `json:"worker"`
 			Item   string `json:"item,omitempty"`
-			Other  int    `json:"other,omitempty"`
+			Other  int32  `json:"other,omitempty"`
+		}
+		type jsonSpan struct {
+			Track string `json:"track"`
+			StageInterval
 		}
 		out := struct {
 			Block  int64       `json:"block"`
 			Events []jsonEvent `json:"events"`
-			Spans  []Span      `json:"spans,omitempty"`
-		}{Block: n, Events: make([]jsonEvent, 0, len(bt.Events)), Spans: bt.Spans}
-		for _, ev := range bt.Events {
+			Spans  []jsonSpan  `json:"spans,omitempty"`
+		}{Block: b.Number, Events: make([]jsonEvent, 0, len(b.Events))}
+		for _, ev := range b.Events {
 			out.Events = append(out.Events, jsonEvent{
-				TS: ev.TS, Kind: ev.Kind.String(), Tx: ev.Tx, Inc: ev.Inc,
-				Worker: ev.Worker, Item: itemLabel(ev.Item), Other: ev.Other,
+				TS: ev.TS, Kind: ev.Op.String(), Tx: ev.Tx, Inc: ev.Inc,
+				Worker: ev.Worker, Item: itemLabel(ev.Item), Other: ev.Src,
 			})
+		}
+		if tl != nil {
+			for _, st := range Stages() {
+				for _, iv := range tl.Ledger.Intervals(st) {
+					if iv.Block == b.Number {
+						out.Spans = append(out.Spans, jsonSpan{st.String(), iv})
+					}
+				}
+			}
 		}
 		writeJSON(w, out)
 	})
 
 	mux.HandleFunc("/telemetry/critpath/", func(w http.ResponseWriter, r *http.Request) {
-		if tr == nil {
-			http.NotFound(w, r)
+		b := blockOf(w, r, "/telemetry/critpath/")
+		if b == nil {
 			return
 		}
-		n, err := blockArg(r, "/telemetry/critpath/")
-		if err != nil {
-			http.Error(w, "usage: /telemetry/critpath/<n>", http.StatusBadRequest)
-			return
-		}
-		cp := tr.Snapshot().CriticalPath(n)
+		cp := BlockCriticalPath(b)
 		if cp == nil {
-			http.Error(w, fmt.Sprintf("no committed transactions traced for block %d", n), http.StatusNotFound)
+			http.Error(w, fmt.Sprintf("no committed transactions recorded for block %d", b.Number), http.StatusNotFound)
 			return
 		}
 		writeJSON(w, cp)
 	})
 
 	mux.HandleFunc("/telemetry/stall/", func(w http.ResponseWriter, r *http.Request) {
-		if fx == nil {
-			http.NotFound(w, r)
+		b := blockOf(w, r, "/telemetry/stall/")
+		if b == nil {
 			return
 		}
-		n, err := blockArg(r, "/telemetry/stall/")
-		if err != nil {
-			http.Error(w, "usage: /telemetry/stall/<n>", http.StatusBadRequest)
-			return
-		}
-		reps := fx.Stalls(n)
+		reps := Stalls(b)
 		if len(reps) == 0 {
-			http.Error(w, fmt.Sprintf("no stall diagnostics for block %d", n), http.StatusNotFound)
+			http.Error(w, fmt.Sprintf("no stall diagnostics for block %d", b.Number), http.StatusNotFound)
 			return
 		}
 		if r.URL.Query().Get("format") == "text" {
@@ -226,24 +242,15 @@ func Handler(reg *Registry, tr *Tracer, fx *Forensics, dv *DivergenceStore, tl *
 		writeJSON(w, struct {
 			Block  int64         `json:"block"`
 			Stalls []StallReport `json:"stalls"`
-		}{n, reps})
+		}{b.Number, reps})
 	})
 
 	mux.HandleFunc("/telemetry/postmortem/", func(w http.ResponseWriter, r *http.Request) {
-		if fx == nil {
-			http.NotFound(w, r)
+		b := blockOf(w, r, "/telemetry/postmortem/")
+		if b == nil {
 			return
 		}
-		n, err := blockArg(r, "/telemetry/postmortem/")
-		if err != nil {
-			http.Error(w, "usage: /telemetry/postmortem/<n>", http.StatusBadRequest)
-			return
-		}
-		pm := fx.PostMortem(n)
-		if pm == nil {
-			http.Error(w, fmt.Sprintf("no forensics collected for block %d", n), http.StatusNotFound)
-			return
-		}
+		pm := BlockPostMortem(b)
 		if r.URL.Query().Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_, _ = w.Write([]byte(pm.Render()))
@@ -296,10 +303,10 @@ func Handler(reg *Registry, tr *Tracer, fx *Forensics, dv *DivergenceStore, tl *
 		{"/debug/vars", "expvar (registry published under \"telemetry\")", true},
 		{"/telemetry/timeline", "rolling node time series + occupancy ledger summary + live gap audit (JSON)", tl != nil},
 		{"/telemetry/dashboard", "live timeline dashboard (self-contained HTML)", tl != nil},
-		{"/telemetry/block/<n>", "per-block scheduler event trace", tr != nil},
-		{"/telemetry/critpath/<n>", "per-block critical path", tr != nil},
-		{"/telemetry/postmortem/<n>", "conflict post-mortem (?format=text to render)", fx != nil},
-		{"/telemetry/stall/<n>", "stall-watchdog diagnostics (?format=text to render)", fx != nil},
+		{"/telemetry/block/<n>", "per-block scheduler event log", log != nil},
+		{"/telemetry/critpath/<n>", "per-block critical path", log != nil},
+		{"/telemetry/postmortem/<n>", "conflict post-mortem (?format=text to render)", log != nil},
+		{"/telemetry/stall/<n>", "stall-watchdog diagnostics (?format=text to render)", log != nil},
 		{"/telemetry/divergence/<n>", "divergence audit report", dv != nil},
 	}
 	mux.HandleFunc("/telemetry/", func(w http.ResponseWriter, r *http.Request) {
@@ -376,7 +383,7 @@ const serveShutdownTimeout = 5 * time.Second
 // in-flight requests drain (bounded by serveShutdownTimeout, after which
 // connections are forced closed), and only returns once the serve goroutine
 // has exited, so callers never leak it past benchmark exit.
-func Serve(addr string, reg *Registry, tr *Tracer, fx *Forensics, dv *DivergenceStore, tl *Timeline) (string, func() error, error) {
+func Serve(addr string, reg *Registry, log *eventlog.Log, dv *DivergenceStore, tl *Timeline) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
@@ -384,7 +391,7 @@ func Serve(addr string, reg *Registry, tr *Tracer, fx *Forensics, dv *Divergence
 	if reg != nil {
 		PublishExpvar("telemetry", reg)
 	}
-	srv := &http.Server{Handler: Handler(reg, tr, fx, dv, tl)}
+	srv := &http.Server{Handler: Handler(reg, log, dv, tl)}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	stop := func() error {

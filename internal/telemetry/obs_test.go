@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dmvcc/internal/eventlog"
 	"dmvcc/internal/sag"
 	"dmvcc/internal/types"
 )
@@ -32,8 +33,11 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, []byte) {
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("core.executions").Add(9)
-	tr := syntheticTrace()
-	srv := httptest.NewServer(Handler(reg, tr, nil, nil, nil))
+	// The timeline's ledger supplies the block dump's stage spans.
+	tl := NewTimeline(4)
+	tl.Ledger.Enter(StageExecution, 1)
+	tl.Ledger.Exit(StageExecution, 1)
+	srv := httptest.NewServer(Handler(reg, syntheticLog(), nil, tl))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/metrics")
@@ -58,7 +62,10 @@ func TestHandlerEndpoints(t *testing.T) {
 			Kind string `json:"kind"`
 			Tx   int    `json:"tx"`
 		} `json:"events"`
-		Spans []Span `json:"spans"`
+		Spans []struct {
+			Track string `json:"track"`
+			Block int64  `json:"block"`
+		} `json:"spans"`
 	}
 	if err := json.Unmarshal(body, &dump); err != nil {
 		t.Fatal(err)
@@ -68,6 +75,9 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if dump.Events[0].Kind != "dispatch" {
 		t.Fatalf("first event kind = %q", dump.Events[0].Kind)
+	}
+	if dump.Spans[0].Track != "execution" || dump.Spans[0].Block != 1 {
+		t.Fatalf("block span = %+v", dump.Spans[0])
 	}
 
 	code, body = get(t, srv, "/telemetry/critpath/1")
@@ -94,7 +104,7 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestHandlerNilSources(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(Handler(nil, nil, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/metrics", "/telemetry/block/1", "/telemetry/critpath/1", "/telemetry/postmortem/1", "/telemetry/stall/1", "/telemetry/divergence/1"} {
 		if code, _ := get(t, srv, path); code != http.StatusNotFound {
@@ -106,7 +116,7 @@ func TestHandlerNilSources(t *testing.T) {
 func TestDivergenceEndpoint(t *testing.T) {
 	dv := NewDivergenceStore()
 	dv.Put(7, map[string]any{"schema": "dmvcc/divergence/v1", "first_divergent_tx": 3})
-	srv := httptest.NewServer(Handler(nil, nil, nil, dv, nil))
+	srv := httptest.NewServer(Handler(nil, nil, dv, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/telemetry/divergence/7")
@@ -141,7 +151,7 @@ func TestPublishExpvarRebinds(t *testing.T) {
 	// Republishing the same name must rebind, not panic.
 	PublishExpvar("test.rebind", b)
 
-	srv := httptest.NewServer(Handler(nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(Handler(nil, nil, nil, nil))
 	defer srv.Close()
 	code, body := get(t, srv, "/debug/vars")
 	if code != http.StatusOK {
@@ -165,7 +175,7 @@ func TestPublishExpvarRebinds(t *testing.T) {
 
 func TestServeLifecycle(t *testing.T) {
 	reg := NewRegistry()
-	addr, stop, err := Serve("127.0.0.1:0", reg, nil, nil, nil, nil)
+	addr, stop, err := Serve("127.0.0.1:0", reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +199,7 @@ func TestServeLifecycle(t *testing.T) {
 func TestServeGracefulShutdown(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("n").Add(1)
-	addr, stop, err := Serve("127.0.0.1:0", reg, nil, nil, nil, nil)
+	addr, stop, err := Serve("127.0.0.1:0", reg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestMetricsPrometheus(t *testing.T) {
 	h.Observe(1500)
 	h.Observe(2500)
 	h.Observe(5e10) // overflow bucket
-	srv := httptest.NewServer(Handler(reg, nil, nil, nil, nil))
+	srv := httptest.NewServer(Handler(reg, nil, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/metrics?format=prom")
@@ -290,15 +300,15 @@ func TestMetricsPrometheus(t *testing.T) {
 // TestStallEndpoint serves watchdog diagnostics for a block and checks both
 // representations plus the 404/400 contract.
 func TestStallEndpoint(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.RecordStall(StallReport{
+	lg := eventlog.New()
+	lg.Begin(3, 4)
+	lg.AddReport(3, StallReport{
 		Block: 3, Attempt: 1, Progress: 17, Running: 0, IdleWorkers: 4,
 		Pending: []StallTx{{Tx: 2, Inc: 1}},
 		Waiters: []StallWaiter{{Item: "bal:aa", ReaderTx: 2, BlockedOn: 1}},
 	})
-	fx.RecordStall(StallReport{Block: 3, Attempt: 2, Progress: 17})
-	srv := httptest.NewServer(Handler(nil, nil, fx, nil, nil))
+	lg.AddReport(3, StallReport{Block: 3, Attempt: 2, Progress: 17})
+	srv := httptest.NewServer(Handler(nil, lg, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/telemetry/stall/3")
@@ -339,10 +349,10 @@ func TestStallEndpoint(t *testing.T) {
 // survive stop() (srv.Shutdown drains it) and the listener must refuse new
 // connections afterwards.
 func TestStallEndpointGracefulShutdown(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.RecordStall(StallReport{Block: 5, Attempt: 1})
-	addr, stop, err := Serve("127.0.0.1:0", nil, nil, fx, nil, nil)
+	lg := eventlog.New()
+	lg.Begin(5, 1)
+	lg.AddReport(5, StallReport{Block: 5, Attempt: 1})
+	addr, stop, err := Serve("127.0.0.1:0", nil, lg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,18 +392,13 @@ func TestStallEndpointGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestPostmortemEndpoint serves a synthetic forensics bucket and checks both
+// TestPostmortemEndpoint serves a synthetic block record and checks both
 // representations.
 func TestPostmortemEndpoint(t *testing.T) {
-	fx := NewForensics()
-	fx.Enable()
-	fx.BeginBlock(7, 2)
-	fx.RecordAbort(AbortRecord{
-		Tx: 1, Inc: 0, Cascade: fx.NextCascade(), Parent: -1,
-		CauseTx: 0, Item: sag.BalanceItem(types.Address{0xaa}),
-		ReadSrcTx: -1, Class: AbortUnpredictedWrite, WastedGas: 42,
-	})
-	srv := httptest.NewServer(Handler(nil, nil, fx, nil, nil))
+	lg := eventlog.New()
+	lg.Begin(7, 2)
+	lg.Append(abortEv(1, 0, 0, -1, 0, sag.BalanceItem(types.Address{0xaa}), -1, eventlog.AbortUnpredictedWrite, 42))
+	srv := httptest.NewServer(Handler(nil, lg, nil, nil))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/telemetry/postmortem/7")
@@ -404,7 +409,7 @@ func TestPostmortemEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &pm); err != nil {
 		t.Fatal(err)
 	}
-	if pm.Schema != PostMortemSchema || pm.Block != 7 || pm.Aborts != 1 {
+	if pm.Schema != PostMortemSchema || pm.Block != 7 || pm.Aborts != 1 || pm.WastedGas != 42 {
 		t.Fatalf("post-mortem = %+v", pm)
 	}
 

@@ -17,7 +17,7 @@ func TestTimelineEndpoint(t *testing.T) {
 	tl.Ledger.NoteBlock(64, 2)
 	tl.Series.SampleNow()
 
-	srv := httptest.NewServer(Handler(nil, nil, nil, nil, tl))
+	srv := httptest.NewServer(Handler(nil, nil, nil, tl))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/telemetry/timeline")
@@ -40,7 +40,7 @@ func TestTimelineEndpoint(t *testing.T) {
 }
 
 func TestTimelineEndpointAbsent(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(Handler(nil, nil, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/telemetry/timeline", "/telemetry/dashboard"} {
 		if code, _ := get(t, srv, path); code != http.StatusNotFound {
@@ -50,7 +50,7 @@ func TestTimelineEndpointAbsent(t *testing.T) {
 }
 
 func TestDashboardEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil, nil, nil, NewTimeline(4)))
+	srv := httptest.NewServer(Handler(nil, nil, nil, NewTimeline(4)))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/telemetry/dashboard")
 	if err != nil {
@@ -77,7 +77,7 @@ func TestDashboardEndpoint(t *testing.T) {
 
 func TestTelemetryIndex(t *testing.T) {
 	reg := NewRegistry()
-	srv := httptest.NewServer(Handler(reg, nil, nil, nil, NewTimeline(4)))
+	srv := httptest.NewServer(Handler(reg, nil, nil, NewTimeline(4)))
 	defer srv.Close()
 
 	code, body := get(t, srv, "/telemetry/")
@@ -90,7 +90,7 @@ func TestTelemetryIndex(t *testing.T) {
 			t.Fatalf("index missing %q:\n%s", want, page)
 		}
 	}
-	// Forensics was not attached: its endpoints are listed but marked off.
+	// No event log was attached: its endpoints are listed but marked off.
 	if !strings.Contains(page, "not attached") {
 		t.Fatal("index does not mark unavailable endpoints")
 	}

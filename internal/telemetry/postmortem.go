@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"dmvcc/internal/eventlog"
 )
 
 // PostMortemSchema versions the post-mortem JSON layout.
@@ -35,7 +37,7 @@ type CascadeTree struct {
 	ID      int `json:"id"`
 	CauseTx int `json:"cause_tx"`
 	// Aborts is the node count; the sum over all trees of a block equals
-	// Stats.Aborts exactly (both are driven by the same abort-path records).
+	// Stats.Aborts exactly (one abort event per bump of the counter).
 	Aborts    int          `json:"aborts"`
 	Depth     int          `json:"depth"`
 	WastedGas uint64       `json:"wasted_gas"`
@@ -134,42 +136,34 @@ func buildCascades(records []AbortRecord) []CascadeTree {
 	return trees
 }
 
-// PostMortem assembles the block's unified report, or nil when the block has
-// no collected forensics.
-func (f *Forensics) PostMortem(block int64) *PostMortem {
-	if f == nil {
+// BlockPostMortem assembles a block's unified report from its event log, or
+// nil when the block was not recorded (or has been evicted).
+func BlockPostMortem(b *eventlog.Block) *PostMortem {
+	if b == nil {
 		return nil
 	}
-	f.mu.Lock()
-	bf := f.blocks[block]
-	if bf == nil {
-		f.mu.Unlock()
-		return nil
-	}
+	records := AbortRecords(b.Events)
+	items := ItemProfiles(b.Events)
 	pm := &PostMortem{
 		Schema:     PostMortemSchema,
-		Block:      block,
-		Txs:        bf.txs,
-		Aborts:     len(bf.aborts),
-		TotalItems: len(bf.items),
-		Audit:      bf.audit,
-		Degraded:   bf.degraded,
-		Stalls:     len(bf.stalls),
+		Block:      b.Number,
+		Txs:        b.Txs,
+		Aborts:     len(records),
+		TotalItems: len(items),
+		Audit:      BlockAuditOf(b),
+		Degraded:   b.Degraded,
+		Stalls:     len(Stalls(b)),
 	}
-	records := make([]AbortRecord, len(bf.aborts))
-	copy(records, bf.aborts)
-	keys := make([]HotKey, 0, len(bf.items))
-	for id, p := range bf.items {
-		keys = append(keys, HotKey{Item: forensicLabel(id), ItemProfile: *p})
-	}
-	f.mu.Unlock()
-
 	if len(records) > 0 {
 		pm.AbortClasses = make(map[string]int)
 		for _, rec := range records {
 			pm.AbortClasses[rec.Class.String()]++
 			pm.WastedGas += rec.WastedGas
 		}
+	}
+	keys := make([]HotKey, 0, len(items))
+	for id, p := range items {
+		keys = append(keys, HotKey{Item: forensicLabel(id), ItemProfile: *p})
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]

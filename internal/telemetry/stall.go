@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"dmvcc/internal/sag"
+	"dmvcc/internal/eventlog"
 )
 
 // StallSchema versions the stall-report JSON layout.
@@ -33,7 +33,7 @@ type StallReport struct {
 	Schema string `json:"schema"`
 	Block  int64  `json:"block"`
 	// Seq orders the reports of one block (the watchdog can fire several
-	// recovery rounds); stamped by RecordStall.
+	// recovery rounds); stamped by Stalls.
 	Seq int `json:"seq"`
 	// Attempt is the recovery round (1-based).
 	Attempt int `json:"attempt"`
@@ -69,72 +69,19 @@ func (r *StallReport) Render() string {
 	return sb.String()
 }
 
-// RecordStall stores one watchdog diagnostic dump, keyed by rep.Block.
-func (f *Forensics) RecordStall(rep StallReport) {
-	if !f.Enabled() {
-		return
+// Stalls returns the watchdog dumps attached to the block, in detection
+// order, stamped with the schema and their position.
+func Stalls(b *eventlog.Block) []StallReport {
+	if b == nil {
+		return nil
 	}
-	rep.Schema = StallSchema
-	f.mu.Lock()
-	bf := f.blocks[rep.Block]
-	if bf == nil {
-		bf = &blockForensics{
-			items:   make(map[sag.ItemID]*ItemProfile),
-			byInc:   make(map[[2]int]int),
-			pending: make(map[[2]int]uint64),
+	var out []StallReport
+	for _, r := range b.Reports {
+		if rep, ok := r.(StallReport); ok {
+			rep.Schema = StallSchema
+			rep.Seq = len(out)
+			out = append(out, rep)
 		}
-		f.blocks[rep.Block] = bf
 	}
-	rep.Seq = len(bf.stalls)
-	bf.stalls = append(bf.stalls, rep)
-	f.mu.Unlock()
-}
-
-// Stalls returns a copy of the block's stall reports in detection order.
-func (f *Forensics) Stalls(block int64) []StallReport {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	bf := f.blocks[block]
-	if bf == nil || len(bf.stalls) == 0 {
-		return nil
-	}
-	out := make([]StallReport, len(bf.stalls))
-	copy(out, bf.stalls)
 	return out
-}
-
-// RecordDegrade marks a block as degraded to serial execution, with the
-// circuit-breaker reason.
-func (f *Forensics) RecordDegrade(block int64, reason string) {
-	if !f.Enabled() {
-		return
-	}
-	f.mu.Lock()
-	bf := f.blocks[block]
-	if bf == nil {
-		bf = &blockForensics{
-			items:   make(map[sag.ItemID]*ItemProfile),
-			byInc:   make(map[[2]int]int),
-			pending: make(map[[2]int]uint64),
-		}
-		f.blocks[block] = bf
-	}
-	bf.degraded = reason
-	f.mu.Unlock()
-}
-
-// Degraded returns the block's degradation reason ("" = not degraded).
-func (f *Forensics) Degraded(block int64) string {
-	if f == nil {
-		return ""
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if bf := f.blocks[block]; bf != nil {
-		return bf.degraded
-	}
-	return ""
 }

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"strings"
 	"testing"
+
+	"dmvcc/internal/eventlog"
 )
 
 func TestStallReportRender(t *testing.T) {
@@ -36,34 +38,26 @@ func TestStallReportRenderEmpty(t *testing.T) {
 	}
 }
 
-func TestRecordStallSequencing(t *testing.T) {
-	f := NewForensics()
-	// Disabled: dropped.
-	f.RecordStall(StallReport{Block: 3})
-	if got := f.Stalls(3); got != nil {
-		t.Fatalf("disabled collector stored %+v", got)
-	}
-
-	f.Enable()
-	f.RecordStall(StallReport{Block: 3, Attempt: 1})
-	f.RecordStall(StallReport{Block: 3, Attempt: 2})
-	got := f.Stalls(3)
+func TestStallsSequencing(t *testing.T) {
+	lg := eventlog.New()
+	lg.Enable()
+	lg.Begin(3, 1)
+	lg.AddReport(3, StallReport{Block: 3, Attempt: 1})
+	lg.AddReport(3, &BlockAudit{Block: 3}) // other report kinds are skipped
+	lg.AddReport(3, StallReport{Block: 3, Attempt: 2})
+	got := Stalls(lg.Block(3))
 	if len(got) != 2 {
 		t.Fatalf("stalls = %+v", got)
 	}
 	for i, rep := range got {
-		if rep.Seq != i {
-			t.Fatalf("stall %d has seq %d", i, rep.Seq)
+		if rep.Seq != i || rep.Attempt != i+1 {
+			t.Fatalf("stall %d has seq %d attempt %d", i, rep.Seq, rep.Attempt)
 		}
 		if rep.Schema != StallSchema {
 			t.Fatalf("stall %d schema %q", i, rep.Schema)
 		}
 	}
-	if f.Stalls(99) != nil {
+	if Stalls(lg.Block(99)) != nil {
 		t.Fatal("unknown block returned stalls")
-	}
-	var nilF *Forensics
-	if nilF.Stalls(3) != nil {
-		t.Fatal("nil collector returned stalls")
 	}
 }
