@@ -10,6 +10,7 @@ package dmvcc_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dmvcc/internal/bench"
@@ -224,15 +225,27 @@ func BenchmarkAnalyzeBlock(b *testing.B) {
 	}
 	blockCtx := w.BlockContext()
 	txs := w.NextBlock()
-	an := sag.NewAnalyzer(w.Registry)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := an.AnalyzeBlock(txs, w.DB, blockCtx); err != nil {
-			b.Fatal(err)
-		}
+	// ns/tx is wall-clock time per transaction of the block, so it falls
+	// with the thread count on idle cores; allocs/tx does not.
+	for _, th := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
+			an := sag.NewAnalyzer(w.Registry)
+			an.SetThreads(th)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := an.AnalyzeBlock(txs, w.DB, blockCtx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * len(txs))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tx")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/tx")
+		})
 	}
-	b.ReportMetric(float64(len(txs)), "txs")
 }
 
 func BenchmarkSchedSimDMVCC(b *testing.B) {

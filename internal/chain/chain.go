@@ -139,7 +139,8 @@ func WithGate(g core.Gate) EngineOption {
 
 // NewEngine returns an engine over db — any state.Backend: the reference
 // trie DB or a flat backend — using the contract registry for analysis,
-// running parallel schemes on the given number of threads.
+// running parallel schemes, and the C-SAG pre-run, on the given number of
+// threads.
 func NewEngine(db state.Backend, reg *sag.Registry, threads int, opts ...EngineOption) *Engine {
 	e := &Engine{
 		db:      db,
@@ -151,6 +152,7 @@ func NewEngine(db state.Backend, reg *sag.Registry, threads int, opts ...EngineO
 	for _, o := range opts {
 		o(e)
 	}
+	e.an.SetThreads(threads)
 	e.attachKVFaults()
 	return e
 }
@@ -182,8 +184,12 @@ func (e *Engine) DB() state.Backend { return e.db }
 // ChainID returns the configured chain identifier.
 func (e *Engine) ChainID() uint64 { return e.chainID }
 
-// SetThreads adjusts the parallelism for subsequent executions.
-func (e *Engine) SetThreads(n int) { e.threads = n }
+// SetThreads adjusts the parallelism for subsequent executions and C-SAG
+// pre-runs.
+func (e *Engine) SetThreads(n int) {
+	e.threads = n
+	e.an.SetThreads(n)
+}
 
 // SetMetrics attaches (or detaches, with nil) the metrics registry.
 func (e *Engine) SetMetrics(m *telemetry.Registry) { e.metrics = m }

@@ -81,13 +81,9 @@ type accessor struct {
 	// would otherwise allocate a closure on every sequence call).
 	deadFn func() bool
 
-	// Registry memo: hook performs one contract-info lookup per instruction
-	// without it (an RWMutex + map hit that dominated the hot loop); frames
-	// run many consecutive instructions in one contract, so a one-entry
-	// cache absorbs nearly all of them.
-	infoAddr types.Address
-	info     *sag.ContractInfo
-	infoOK   bool
+	// Registry memo: Step performs one contract-info lookup per stop without
+	// it; frames make many consecutive stops in one contract.
+	memo sag.Memo
 
 	// snapCache is the executing worker's committed-snapshot read cache
 	// (see workerCache); it follows the goroutine, not the incarnation.
@@ -108,7 +104,7 @@ type accessor struct {
 
 	// Fault-injection arming, decided once per incarnation (all zero when
 	// no injector is attached — the production path).
-	panicAfter    int  // instruction countdown to an injected panic
+	panicAfter    int  // hook-stop countdown to an injected panic
 	forceStale    bool // force-abort the next sequence read
 	suppressEarly bool // suppress release-point early publication
 }
@@ -126,6 +122,7 @@ const (
 var (
 	_ evm.State        = (*accessor)(nil)
 	_ evm.BalanceAdder = (*accessor)(nil)
+	_ evm.Hooks        = (*accessor)(nil)
 )
 
 // newAccessor builds the state view of one incarnation on a pooled
@@ -176,9 +173,7 @@ func (a *accessor) reset() {
 	a.deltaPending = sag.ItemID{}
 	a.deltaPendingOK = false
 	a.drained = false
-	a.infoAddr = types.Address{}
-	a.info = nil
-	a.infoOK = false
+	a.memo = sag.Memo{}
 	a.snapCache = nil
 	a.topGas = 0
 	a.offset = 0
@@ -192,12 +187,12 @@ func (a *accessor) reset() {
 }
 
 // armFaults draws this incarnation's fault decisions up front (one hash per
-// armed point), so the per-instruction hot path only tests plain fields.
+// armed point), so the per-stop hot path only tests plain fields.
 func (a *accessor) armFaults(in *fault.Injector) {
 	blockN := int64(a.r.block.Number)
 	if ok, roll := in.Draw(fault.WorkerPanic, blockN, a.rt.idx, a.inc); ok {
 		// Panic mid-transaction: after a deterministic, roll-derived number
-		// of instructions (between VM steps, no scheduler locks held).
+		// of hook stops (between VM steps, no scheduler locks held).
 		a.panicAfter = 1 + int((roll>>33)%24)
 	}
 	a.forceStale = in.Fire(fault.SnapshotStale, blockN, a.rt.idx, a.inc)
@@ -209,14 +204,7 @@ func (a *accessor) dead() bool { return a.rt.curInc() != a.inc }
 
 // lookupInfo resolves the contract info of addr through the one-entry memo.
 func (a *accessor) lookupInfo(addr types.Address) *sag.ContractInfo {
-	if a.infoOK && a.infoAddr == addr {
-		return a.info
-	}
-	info := a.r.reg.Lookup(addr)
-	a.infoAddr = addr
-	a.info = info
-	a.infoOK = true
-	return info
+	return a.memo.Lookup(a.r.reg, addr)
 }
 
 // --- item vector ------------------------------------------------------------
@@ -653,12 +641,24 @@ func (a *accessor) SetCode(addr types.Address, code []byte) error {
 	return nil
 }
 
-// --- hook: abort checks, commutative arming, release points ----------------
+// --- hooks: abort checks, commutative arming, release points ---------------
 
-// hook runs before every instruction: it stops dead incarnations, arms the
+// Watch implements evm.Hooks: a registered contract's frames stop only at
+// the pcs its watch table marks (sag.ContractInfo.Watch); a contract the
+// registry does not know has no table and stops before every instruction.
+func (a *accessor) Watch(addr types.Address) []byte {
+	if info := a.lookupInfo(addr); info != nil {
+		return info.Watch
+	}
+	return nil
+}
+
+// Step implements evm.Hooks. It runs before every watched instruction: it
+// stops dead incarnations, keeps the top frame's gas offset, arms the
 // commutative sites, and performs Algorithm 2's early-write visibility at
-// release points.
-func (a *accessor) hook(addr types.Address, depth int, pc uint64, op evm.Opcode, gasLeft uint64) error {
+// release points. Extra stops are harmless: a stop the table does not ask for
+// (the every-pc fallback) finds nothing to do.
+func (a *accessor) Step(addr types.Address, depth int, pc uint64, op evm.Opcode, gasLeft uint64) error {
 	if a.dead() {
 		return evm.ErrAborted
 	}
@@ -670,33 +670,32 @@ func (a *accessor) hook(addr types.Address, depth int, pc uint64, op evm.Opcode,
 		}
 	}
 	if depth == 1 {
-		if a.topGas == 0 {
+		if pc == 0 {
 			a.topGas = gasLeft
 		}
 		a.offset = BaseCost + a.topGas - gasLeft
 	}
+	info := a.lookupInfo(addr)
+	if info == nil {
+		return nil
+	}
+	w := info.WatchAt(pc)
 	if !a.r.opts.DisableCommutative {
-		switch op {
-		case evm.SLOAD:
-			if info := a.lookupInfo(addr); info != nil {
-				if _, ok := info.CommLoads[pc]; ok {
-					a.armDelta = true
-				}
-			}
-		case evm.SSTORE:
-			if info := a.lookupInfo(addr); info != nil && info.CommStores[pc] {
-				a.armStore = true
-			}
+		switch {
+		case w&sag.WatchCommLoad != 0:
+			a.armDelta = true
+		case w&sag.WatchCommStore != 0:
+			a.armStore = true
 		}
 	}
 	if depth != 1 || a.drained || a.r.opts.DisableEarlyWrite || a.suppressEarly {
 		return nil
 	}
-	info := a.lookupInfo(addr)
-	if info == nil || !info.Released(pc, gasLeft) {
-		return nil
+	// The first released pc after a write is always a stop (sag.WatchRelease),
+	// so asking at every stop publishes exactly where asking at every pc would.
+	if info.Released(pc, gasLeft) {
+		a.earlyPublish()
 	}
-	a.earlyPublish()
 	return nil
 }
 

@@ -161,8 +161,7 @@ func TestAccessorResetLeaksNothing(t *testing.T) {
 	a.armDelta, a.armStore = true, true
 	a.deltaPending, a.deltaPendingOK = id, true
 	a.drained = true
-	a.infoAddr[0] = 1
-	a.infoOK = true
+	a.memo.Lookup(sag.NewRegistry(), id.Addr)
 	a.topGas, a.offset, a.intrins = 10, 20, 30
 	a.worker, a.inFinish = 5, true
 	a.panicAfter, a.forceStale, a.suppressEarly = 2, true, true
@@ -195,11 +194,11 @@ func TestAccessorResetLeaksNothing(t *testing.T) {
 			t.Fatalf("retained journal record %d not zeroed: %+v", i, u)
 		}
 	}
-	if a.armDelta || a.armStore || a.deltaPendingOK || a.drained || a.infoOK ||
+	if a.armDelta || a.armStore || a.deltaPendingOK || a.drained ||
 		a.inFinish || a.forceStale || a.suppressEarly {
 		t.Error("reset left a flag set")
 	}
-	if a.deltaPending != (sag.ItemID{}) || a.infoAddr != (types.Address{}) {
+	if a.deltaPending != (sag.ItemID{}) || a.memo != (sag.Memo{}) {
 		t.Error("reset left identity fields set")
 	}
 	if a.topGas != 0 || a.offset != 0 || a.intrins != 0 || a.worker != 0 || a.panicAfter != 0 {

@@ -679,7 +679,7 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 	acc.worker = worker
 	acc.snapCache = r.workerCacheFor(worker)
 
-	receipt, err := evm.ApplyTransaction(acc, r.block, rt.tx, rt.idx, acc.hook)
+	receipt, err := evm.ApplyTransaction(acc, r.block, rt.tx, rt.idx, acc)
 	if err != nil {
 		if errors.Is(err, evm.ErrAborted) {
 			// Work thrown away with this incarnation: the partial gas consumed

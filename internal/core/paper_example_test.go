@@ -55,23 +55,33 @@ contract Items {
 }
 `
 
-func TestPaperFig4Example(t *testing.T) {
-	itemsAddr := types.HexToAddress("0xc000000000000000000000000000000000000009")
-	buildDB := func() (*state.DB, *sag.Registry) {
-		db := state.NewDB()
-		reg := sag.NewRegistry()
-		compiled := minisol.MustCompile(figSrc)
-		o := state.NewOverlay(db)
-		o.SetCode(itemsAddr, compiled.Code)
-		reg.RegisterCompiled(itemsAddr, compiled)
-		for i := 0; i < 8; i++ {
-			o.SetBalance(user(i), u256.NewUint64(1_000_000_000))
-		}
-		if _, err := db.Commit(o.Changes()); err != nil {
-			t.Fatal(err)
-		}
-		return db, reg
+var itemsAddr = types.HexToAddress("0xc000000000000000000000000000000000000009")
+
+// figWorld deploys and registers the Items contract over funded users.
+func figWorld(t *testing.T) (*state.DB, *sag.Registry) {
+	t.Helper()
+	db := state.NewDB()
+	reg := sag.NewRegistry()
+	compiled := minisol.MustCompile(figSrc)
+	o := state.NewOverlay(db)
+	o.SetCode(itemsAddr, compiled.Code)
+	reg.RegisterCompiled(itemsAddr, compiled)
+	for i := 0; i < 8; i++ {
+		o.SetBalance(user(i), u256.NewUint64(1_000_000_000))
 	}
+	if _, err := db.Commit(o.Changes()); err != nil {
+		t.Fatal(err)
+	}
+	return db, reg
+}
+
+// figBlock is the block of Fig. 4(a), following its access sequences:
+//
+//	T1: ω(I1)            T2: ω̄(I2)        T3: ρ(I1) ω(I3)
+//	T4: ω̄(I2)            T5: ω(I1)        T6: ρ(I2) ω(I3)
+//
+// (T5 writes I1 again — write versioning means no conflict with T1.)
+func figBlock() []*types.Transaction {
 	itemCall := func(i int, method string, args ...uint64) *types.Transaction {
 		words := make([]u256.Int, len(args))
 		for j, a := range args {
@@ -84,12 +94,7 @@ func TestPaperFig4Example(t *testing.T) {
 			Data: minisol.CallData(method, words...),
 		}
 	}
-
-	// The block, following Fig. 4(a)'s access sequences:
-	//   T1: ω(I1)            T2: ω̄(I2)        T3: ρ(I1) ω(I3)
-	//   T4: ω̄(I2)            T5: ω(I1)        T6: ρ(I2) ω(I3)
-	// (T5 writes I1 again — write versioning means no conflict with T1.)
-	txs := []*types.Transaction{
+	return []*types.Transaction{
 		itemCall(1, "write", 1, 100), // T1: ω(I1)
 		itemCall(2, "bump", 2, 10),   // T2: ω̄(I2)
 		itemCall(3, "mix", 1, 3),     // T3: ρ(I1), ω(I3)
@@ -97,6 +102,11 @@ func TestPaperFig4Example(t *testing.T) {
 		itemCall(5, "write", 1, 200), // T5: ω(I1)
 		itemCall(6, "mix", 2, 3),     // T6: ρ(I2), ω(I3)
 	}
+}
+
+func TestPaperFig4Example(t *testing.T) {
+	buildDB := func() (*state.DB, *sag.Registry) { return figWorld(t) }
+	txs := figBlock()
 
 	// Semantics: identical to serial.
 	dbS, _ := buildDB()

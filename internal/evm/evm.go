@@ -35,11 +35,23 @@ type State interface {
 	RevertToSnapshot(rev int)
 }
 
-// StepHook observes every instruction before it executes, along with the
-// address of the contract whose code is running. Returning a non-nil error
-// aborts the frame with that error; schedulers use this to stop doomed
-// executions promptly and to trigger release-point processing.
-type StepHook func(addr types.Address, depth int, pc uint64, op Opcode, gasLeft uint64) error
+// Hooks is a scheduler's view into the interpreter. The interpreter asks
+// Watch for a table once per call frame and then calls Step only where the
+// table says so, which keeps the instruction loop free of scheduler work
+// everywhere else.
+type Hooks interface {
+	// Watch returns the watch table of the contract at addr, whose code is
+	// about to run in a new frame: one byte per pc, non-zero where Step must
+	// be called (what the bits mean is the provider's business). A nil table
+	// means the provider knows nothing about the contract, and Step is then
+	// called before every instruction; so are pcs past the table's end.
+	Watch(addr types.Address) []byte
+	// Step observes the instruction at a watched pc before it executes,
+	// along with the address of the contract whose code is running.
+	// Returning a non-nil error aborts the frame with that error; schedulers
+	// use this to stop doomed executions and to process release points.
+	Step(addr types.Address, depth int, pc uint64, op Opcode, gasLeft uint64) error
+}
 
 // BalanceAdder is an optional State extension for blind balance credits.
 // When implemented, the VM routes value-transfer credits (recipient,
@@ -90,7 +102,7 @@ type EVM struct {
 	state State
 	block BlockContext
 	tx    TxContext
-	hook  StepHook
+	hooks Hooks
 
 	logs       []types.Log
 	returnData []byte
@@ -100,9 +112,9 @@ type EVM struct {
 // Option configures an EVM.
 type Option func(*EVM)
 
-// WithStepHook installs a per-instruction hook.
-func WithStepHook(h StepHook) Option {
-	return func(e *EVM) { e.hook = h }
+// WithHooks installs scheduler hooks (nil installs none).
+func WithHooks(h Hooks) Option {
+	return func(e *EVM) { e.hooks = h }
 }
 
 // New returns an EVM bound to the given state and context.
@@ -153,6 +165,9 @@ func (e *EVM) Call(caller, to types.Address, input []byte, gas uint64, value *u2
 		stack:     newStack(),
 		jumpdests: JumpDests(code),
 	}
+	if e.hooks != nil {
+		f.watch = e.hooks.Watch(to)
+	}
 	ret, err = e.run(f)
 	e.depth--
 
@@ -201,8 +216,10 @@ type ExecutionResult struct {
 // Contract creation is simplified: the transaction payload is installed
 // directly as the runtime code of the derived contract address (the minisol
 // toolchain emits runtime code; there is no constructor phase).
-func ApplyTransaction(st State, block BlockContext, tx *types.Transaction, txIndex int, hook StepHook) (*types.Receipt, error) {
-	e := New(st, block, TxContext{Origin: tx.From, GasPrice: tx.GasPrice}, WithStepHook(hook))
+//
+// hooks may be nil: the interpreter then runs without any scheduler stop.
+func ApplyTransaction(st State, block BlockContext, tx *types.Transaction, txIndex int, hooks Hooks) (*types.Receipt, error) {
+	e := New(st, block, TxContext{Origin: tx.From, GasPrice: tx.GasPrice}, WithHooks(hooks))
 
 	receipt := &types.Receipt{TxHash: tx.Hash(), TxIndex: txIndex}
 

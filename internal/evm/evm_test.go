@@ -456,28 +456,81 @@ func TestLogsEmittedAndRevertTruncated(t *testing.T) {
 	}
 }
 
+// stepLog is an evm.Hooks that hands every frame the same watch table and
+// logs the pcs Step was called at, aborting at the abortAt-th call.
+type stepLog struct {
+	table   []byte
+	pcs     []uint64
+	abortAt int
+}
+
+func (h *stepLog) Watch(types.Address) []byte { return h.table }
+
+func (h *stepLog) Step(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64) error {
+	h.pcs = append(h.pcs, pc)
+	if len(h.pcs) == h.abortAt {
+		return evm.ErrAborted
+	}
+	return nil
+}
+
 func TestStepHookAbort(t *testing.T) {
 	code := asm.New().Push(1).Push(2).Op(evm.ADD, evm.POP, evm.STOP).MustBytes()
 	_, st := newEnv(t)
 	if err := st.SetCode(contract, code); err != nil {
 		t.Fatal(err)
 	}
-	steps := 0
-	hook := func(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64) error {
-		steps++
-		if steps == 3 {
-			return evm.ErrAborted
-		}
-		return nil
-	}
-	e := evm.New(st, testBlock(), evm.TxContext{}, evm.WithStepHook(hook))
+	hooks := &stepLog{abortAt: 3}
+	e := evm.New(st, testBlock(), evm.TxContext{}, evm.WithHooks(hooks))
 	var zero u256.Int
 	_, _, err := e.Call(sender, contract, nil, 100_000, &zero)
 	if !errors.Is(err, evm.ErrAborted) {
 		t.Errorf("err = %v, want aborted", err)
 	}
-	if steps != 3 {
-		t.Errorf("hook called %d times, want 3", steps)
+	if len(hooks.pcs) != 3 {
+		t.Errorf("hook called %d times, want 3", len(hooks.pcs))
+	}
+}
+
+// TestWatchTableSelectsStops: Step fires exactly at the marked pcs; a nil
+// table, a table marking every pc and a table shorter than the code all
+// mean every instruction.
+func TestWatchTableSelectsStops(t *testing.T) {
+	// pcs: 0 PUSH1, 2 PUSH1, 4 ADD, 5 POP, 6 STOP
+	code := asm.New().Push(1).Push(2).Op(evm.ADD, evm.POP, evm.STOP).MustBytes()
+	every := []uint64{0, 2, 4, 5, 6}
+	full := bytes.Repeat([]byte{0x80}, len(code))
+	sparse := make([]byte, len(code))
+	sparse[0], sparse[5] = 1, 4
+	for _, tc := range []struct {
+		name  string
+		table []byte
+		want  []uint64
+	}{
+		{"nil", nil, every},
+		{"all marked", full, every},
+		{"sparse", sparse, []uint64{0, 5}},
+		{"none marked", make([]byte, len(code)), nil},
+		{"short table", []byte{0, 0, 0}, []uint64{4, 5, 6}},
+	} {
+		_, st := newEnv(t)
+		if err := st.SetCode(contract, code); err != nil {
+			t.Fatal(err)
+		}
+		hooks := &stepLog{table: tc.table}
+		e := evm.New(st, testBlock(), evm.TxContext{}, evm.WithHooks(hooks))
+		var zero u256.Int
+		if _, _, err := e.Call(sender, contract, nil, 100_000, &zero); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(hooks.pcs) != len(tc.want) {
+			t.Fatalf("%s: stops at %v, want %v", tc.name, hooks.pcs, tc.want)
+		}
+		for i, pc := range tc.want {
+			if hooks.pcs[i] != pc {
+				t.Fatalf("%s: stops at %v, want %v", tc.name, hooks.pcs, tc.want)
+			}
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ type frame struct {
 	stack     *stack
 	mem       memory
 	jumpdests map[uint64]bool
+	watch     []byte // hook stops (see Hooks.Watch); nil = every pc
 }
 
 // useGas deducts amount from the frame's gas, reporting false on exhaustion.
@@ -73,8 +74,8 @@ func (e *EVM) run(f *frame) ([]byte, error) {
 			return nil, nil // implicit STOP
 		}
 		op := Opcode(f.code[f.pc])
-		if e.hook != nil {
-			if err := e.hook(f.addr, e.depth, f.pc, op, f.gas); err != nil {
+		if e.hooks != nil && (f.pc >= uint64(len(f.watch)) || f.watch[f.pc] != 0) {
+			if err := e.hooks.Step(f.addr, e.depth, f.pc, op, f.gas); err != nil {
 				return nil, err
 			}
 		}

@@ -66,12 +66,10 @@ func (p *PSAG) Format() string {
 			key = a.Slot.Hex()
 		}
 		comm := ""
-		if a.Write && p.Info.CommStores[a.PC] {
+		if a.Write && p.Info.WatchAt(a.PC)&WatchCommStore != 0 {
 			comm = "  [commutative ω̄]"
-		} else if !a.Write {
-			if _, ok := p.Info.CommLoads[a.PC]; ok {
-				comm = "  [commutative ω̄ base]"
-			}
+		} else if !a.Write && p.Info.WatchAt(a.PC)&WatchCommLoad != 0 {
+			comm = "  [commutative ω̄ base]"
 		}
 		fmt.Fprintf(&sb, "  pc %04x: %s(%s)%s\n", a.PC, sym, key, comm)
 	}
@@ -95,5 +93,26 @@ func (p *PSAG) Format() string {
 			fmt.Fprintf(&sb, "  pc %04x: gas bound %d\n", pc, bound)
 		}
 	}
+
+	// How sparse the interpreter's stops are (ContractInfo.Watch).
+	var instrs, stops int
+	classes := map[byte]int{}
+	for _, start := range p.Info.Analysis.Graph().Order {
+		for _, ins := range p.Info.Analysis.Graph().Blocks[start].Instrs {
+			instrs++
+			w := p.Info.WatchAt(ins.PC)
+			if w != 0 {
+				stops++
+			}
+			for _, f := range []byte{WatchEntry, WatchAccess, WatchCommLoad, WatchCommStore, WatchRelease, WatchLoop} {
+				if w&f != 0 {
+					classes[f]++
+				}
+			}
+		}
+	}
+	fmt.Fprintf(&sb, "\nwatch table: %d of %d instructions stop the interpreter (entry %d, state access %d, commutative %d, release %d, loop header %d)\n",
+		stops, instrs, classes[WatchEntry], classes[WatchAccess],
+		classes[WatchCommLoad]+classes[WatchCommStore], classes[WatchRelease], classes[WatchLoop])
 	return sb.String()
 }

@@ -284,7 +284,7 @@ func TestPSAGStructure(t *testing.T) {
 		t.Error("expected placeholder accesses for mapping keys")
 	}
 	dump := p.Format()
-	for _, want := range []string{"release points", "state accesses", "ω̄"} {
+	for _, want := range []string{"release points", "state accesses", "ω̄", "watch table"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("P-SAG dump missing %q", want)
 		}
