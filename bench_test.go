@@ -231,19 +231,67 @@ func BenchmarkAnalyzeBlock(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", th), func(b *testing.B) {
 			an := sag.NewAnalyzer(w.Registry)
 			an.SetThreads(th)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchPerTx(b, len(txs), func() {
 				if _, err := an.AnalyzeBlock(txs, w.DB, blockCtx); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			n := float64(b.N * len(txs))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tx")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/tx")
+			})
+		})
+	}
+}
+
+// benchPerTx runs block b.N times and reports the wall-clock ns and the
+// allocations per transaction of a block of txs transactions.
+func benchPerTx(b *testing.B, txs int, block func()) {
+	b.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		block()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * txs)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/tx")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/tx")
+}
+
+// BenchmarkExecuteBlock executes one mainnet-mix block from pre-computed
+// C-SAGs: as analysed, so an incarnation whose reads still hold commits the
+// pre-run's outcome ("replay"), and with the outcomes stripped, so every
+// incarnation runs the interpreter ("evm"). Wall-clock ns/tx and allocs/tx.
+func BenchmarkExecuteBlock(b *testing.B) {
+	w, err := workload.BuildWorld(benchWorkload(false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	blockCtx := w.BlockContext()
+	txs := w.NextBlock()
+	analysed, err := sag.NewAnalyzer(w.Registry).AnalyzeBlock(txs, w.DB, blockCtx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stripped := make([]*sag.CSAG, len(analysed))
+	for i, c := range analysed {
+		stripped[i] = c.WithoutOutcome()
+	}
+	for _, bc := range []struct {
+		name  string
+		csags []*sag.CSAG
+	}{{"replay", analysed}, {"evm", stripped}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ex := core.NewExecutor(w.Registry, runtime.GOMAXPROCS(0))
+			var replays, execs int64
+			benchPerTx(b, len(txs), func() {
+				res, err := ex.ExecuteBlock(w.DB, blockCtx, txs, bc.csags)
+				if err != nil {
+					b.Fatal(err)
+				}
+				replays += res.Stats.Replays
+				execs += res.Stats.Executions
+			})
+			b.ReportMetric(float64(replays)/float64(execs), "replays/exec")
 		})
 	}
 }

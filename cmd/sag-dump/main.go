@@ -81,8 +81,26 @@ func run(path, call string) error {
 	}
 	fmt.Printf("\nC-SAG for %s (refined against the latest snapshot):\n", call)
 	fmt.Printf("  %s\n", csag)
-	fmt.Printf("  predicted outcome: %s, gas %d\n", csag.PredictedStatus, csag.PredictedGasUsed)
+	printOutcome(csag.Outcome)
 	return nil
+}
+
+// printOutcome renders what the pre-run computed: the executor commits it
+// as-is when the reads still return these values at execution time.
+func printOutcome(out *sag.Outcome) {
+	fmt.Printf("  pre-run outcome: %s, gas %d, %d log(s)\n", out.Receipt.Status, out.Receipt.GasUsed, len(out.Receipt.Logs))
+	section := func(title, verb string, list []sag.Access) {
+		for _, a := range list {
+			val := a.Val.String()
+			if a.Item.Kind == sag.KindCode {
+				val = fmt.Sprintf("code %s (%d bytes)", types.Keccak(a.Code).Hex()[:10], len(a.Code))
+			}
+			fmt.Printf("    %-6s %-30s %s %s  @gas %d\n", title, a.Item, verb, val, a.Offset)
+		}
+	}
+	section("read", "=", out.Reads)
+	section("write", "←", out.Writes)
+	section("delta", "+=", out.Deltas)
 }
 
 // parseCall parses "name(a,b,...)" with decimal or 0x-hex arguments.

@@ -67,6 +67,7 @@ type HotpathMeasure struct {
 	Aborts                  int64   `json:"aborts"`
 	BlockedReads            int64   `json:"blocked_reads"`
 	Executions              int64   `json:"executions"`
+	Replays                 int64   `json:"replays"`
 	DispatchRuns            int64   `json:"dispatch_runs"`
 	DispatchedTxs           int64   `json:"dispatched_txs"`
 	SpeedupVsSerial         float64 `json:"speedup_vs_serial"`
@@ -103,12 +104,34 @@ type HotpathWorkload struct {
 // HotpathReport is the machine-readable perf baseline persisted at the repo
 // root as BENCH_hotpath.json. Every later perf PR is measured against it.
 type HotpathReport struct {
-	Schema     string            `json:"schema"`
-	GoVersion  string            `json:"go_version"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Workloads  []HotpathWorkload `json:"workloads"`
+	Schema     string `json:"schema"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// Columns says, per HotpathMeasure field, which clock it was read from:
+	// wall-clock numbers belong to the capture machine and its core count,
+	// virtual-time ones and counts do not.
+	Columns   map[string]string `json:"columns"`
+	Workloads []HotpathWorkload `json:"workloads"`
+}
+
+// hotpathColumns labels the HotpathMeasure fields (and the two wall-clock
+// workload fields) for HotpathReport.Columns.
+var hotpathColumns = map[string]string{
+	"serial_ns_per_tx":           "wall-clock",
+	"commit":                     "wall-clock",
+	"ns_per_tx":                  "wall-clock",
+	"speedup_vs_serial":          "wall-clock ratio (serial_ns_per_tx / ns_per_tx of the same run)",
+	"makespan_speedup_vs_serial": "virtual-time (gas, schedsim over the recorded traces)",
+	"allocs_per_tx":              "count",
+	"bytes_per_tx":               "count",
+	"aborts":                     "count",
+	"blocked_reads":              "count (timing-dependent)",
+	"executions":                 "count",
+	"replays":                    "count (executions that committed their pre-run outcome)",
+	"dispatch_runs":              "count (timing-dependent)",
+	"dispatched_txs":             "count",
 }
 
 // hotpathWorkloads returns the named workload configs of the sweep: the
@@ -167,6 +190,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathReport, error) {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Columns:    hotpathColumns,
 	}
 	for _, w := range hotpathWorkloads(cfg) {
 		hw, err := runHotpathWorkload(w.name, w.wl, cfg)
@@ -229,6 +253,7 @@ func runHotpathWorkload(name string, wl workload.Config, cfg HotpathConfig) (*Ho
 				return nil, err
 			}
 			stats.Executions += res.Stats.Executions
+			stats.Replays += res.Stats.Replays
 			stats.Aborts += res.Stats.Aborts
 			stats.BlockedReads += res.Stats.BlockedReads
 			stats.DispatchRuns += res.Stats.DispatchRuns
@@ -245,6 +270,7 @@ func runHotpathWorkload(name string, wl workload.Config, cfg HotpathConfig) (*Ho
 			Aborts:        stats.Aborts,
 			BlockedReads:  stats.BlockedReads,
 			Executions:    stats.Executions,
+			Replays:       stats.Replays,
 			DispatchRuns:  stats.DispatchRuns,
 			DispatchedTxs: stats.DispatchedTxs,
 		}
@@ -467,18 +493,18 @@ func (r *HotpathReport) Render() string {
 	for _, w := range r.Workloads {
 		fmt.Fprintf(&sb, "-- %s: %d txs x %d rounds, serial %.0f ns/tx --\n",
 			w.Name, w.Txs, w.Rounds, w.SerialNsPerTx)
-		fmt.Fprintf(&sb, "%8s %14s %14s %12s %8s %10s %9s %8s %9s\n",
-			"threads", "ns/tx", "allocs/tx", "bytes/tx", "aborts", "blocked", "runlen", "speedup", "makespan")
+		// ns/tx and speedup are wall-clock; makespan is virtual time.
+		fmt.Fprintf(&sb, "%8s %14s %14s %12s %8s %10s %9s %9s %13s %14s\n",
+			"threads", "ns/tx(wall)", "allocs/tx", "bytes/tx", "aborts", "blocked", "replays", "runlen", "speedup(wall)", "makespan(virt)")
+		row := func(label string, m HotpathMeasure) {
+			fmt.Fprintf(&sb, "%8s %14.0f %14.1f %12.0f %8d %10d %9d %9.1f %13.2f %14.2f\n",
+				label, m.NsPerTx, m.AllocsPerTx, m.BytesPerTx, m.Aborts, m.BlockedReads, m.Replays,
+				meanRunLen(m), m.SpeedupVsSerial, m.MakespanSpeedupVsSerial)
+		}
 		for _, t := range w.Threads {
-			fmt.Fprintf(&sb, "%8d %14.0f %14.1f %12.0f %8d %10d %9.1f %8.2f %9.2f\n",
-				t.Threads, t.After.NsPerTx, t.After.AllocsPerTx, t.After.BytesPerTx,
-				t.After.Aborts, t.After.BlockedReads, meanRunLen(t.After),
-				t.After.SpeedupVsSerial, t.After.MakespanSpeedupVsSerial)
+			row(fmt.Sprint(t.Threads), t.After)
 			if t.Before != nil {
-				fmt.Fprintf(&sb, "%8s %14.0f %14.1f %12.0f %8d %10d %9.1f %8.2f %9.2f\n",
-					"(before)", t.Before.NsPerTx, t.Before.AllocsPerTx, t.Before.BytesPerTx,
-					t.Before.Aborts, t.Before.BlockedReads, meanRunLen(*t.Before),
-					t.Before.SpeedupVsSerial, t.Before.MakespanSpeedupVsSerial)
+				row("(before)", *t.Before)
 			}
 		}
 		fmt.Fprintf(&sb, "commit: serial %.2fms, parallel(%d) %.2fms, roots match: %v\n",

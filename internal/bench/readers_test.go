@@ -19,7 +19,8 @@ import (
 // reader over that same log. Because there is exactly one record of the
 // block, the views must agree with each other and with the scheduler's own
 // counters: abort events == Stats.Aborts == cascade-tree nodes == Chrome
-// abort instants == audited aborts; dispatch events == Stats.Executions;
+// abort instants == audited aborts; dispatch events == Stats.Executions ==
+// Stats.Replays + the incarnations the log shows running the interpreter;
 // early / delta publish events == their Stats counters; the abort and wasted
 // events' gas sums to ExecOut.WastedGas; the divergence audit's verdict
 // matches the serial-root oracle; and forcing the log back onto a twin world
@@ -74,12 +75,18 @@ func TestReadersCannotDisagree(t *testing.T) {
 			var early, finish, causedAborts, abortedAfterCommit int64
 			var gas uint64
 			var lastCommit eventlog.Event
+			// An interpreter run publishes its nonce bump early; an incarnation
+			// that committed its pre-run's outcome publishes only at finish.
+			type incarnation struct{ tx, inc int32 }
+			interpreted := make(map[incarnation]bool)
+			committed := make(map[incarnation]bool)
 			for _, e := range block.Events {
 				ops[e.Op]++
 				switch e.Op {
 				case eventlog.OpPublish, eventlog.OpDelta:
 					if e.Early {
 						early++
+						interpreted[incarnation{e.Tx, e.Inc}] = true
 					} else {
 						finish++
 					}
@@ -95,7 +102,25 @@ func TestReadersCannotDisagree(t *testing.T) {
 					gas += e.Gas
 				case eventlog.OpCommit:
 					lastCommit = e
+					committed[incarnation{e.Tx, e.Inc}] = true
 				}
+			}
+			// Every incarnation either replays or runs the interpreter. The log
+			// cannot tell the two apart before the first publish, so the counts
+			// bracket Stats.Replays, and meet it when nothing died on the way.
+			evmRuns, replayedCommits := int64(len(interpreted)), int64(0)
+			for k := range committed {
+				if !interpreted[k] {
+					replayedCommits++
+				}
+			}
+			if r := out.Stats.Replays; replayedCommits > r || r+evmRuns > out.Stats.Executions ||
+				out.Stats.Aborts == 0 && (replayedCommits != r || r+evmRuns != out.Stats.Executions) {
+				t.Errorf("%d replays + %d interpreter runs vs %d executions (%d aborts); %d commits without an early publish",
+					r, evmRuns, out.Stats.Executions, out.Stats.Aborts, replayedCommits)
+			}
+			if out.Stats.Replays == 0 || evmRuns == 0 {
+				t.Errorf("%d replays, %d interpreter runs: one path never ran", out.Stats.Replays, evmRuns)
 			}
 			aborts := ops[eventlog.OpAbort]
 			for _, c := range []struct {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 
 	"dmvcc/internal/eventlog"
 	"dmvcc/internal/evm"
@@ -102,6 +104,10 @@ type accessor struct {
 	worker   int
 	inFinish bool
 
+	// replayed is the pre-run outcome this incarnation committed instead of
+	// running the interpreter (see replay); nil for an EVM run.
+	replayed *sag.Outcome
+
 	// Fault-injection arming, decided once per incarnation (all zero when
 	// no injector is attached — the production path).
 	panicAfter    int  // hook-stop countdown to an injected panic
@@ -181,6 +187,7 @@ func (a *accessor) reset() {
 	a.intrins = 0
 	a.worker = 0
 	a.inFinish = false
+	a.replayed = nil
 	a.panicAfter = 0
 	a.forceStale = false
 	a.suppressEarly = false
@@ -621,12 +628,17 @@ func (a *accessor) GetCode(addr types.Address) ([]byte, error) {
 	}
 	if val.IsZero() {
 		// No in-block deployment: committed code.
-		if c := a.snapCache; c != nil {
-			return c.codeOf(a.r.snap, addr), nil
-		}
-		return a.r.snap.Code(addr), nil
+		return a.snapCode(addr), nil
 	}
 	return a.r.codeOf(types.HashFromWord(val)), nil
+}
+
+// snapCode reads addr's committed code through the worker's cache.
+func (a *accessor) snapCode(addr types.Address) []byte {
+	if c := a.snapCache; c != nil {
+		return c.codeOf(a.r.snap, addr)
+	}
+	return a.r.snap.Code(addr)
 }
 
 // SetCode implements evm.State.
@@ -885,7 +897,101 @@ func (a *accessor) finish(receipt *types.Receipt) bool {
 	// the accessor back without it.
 	events := a.events
 	a.events = nil
+	if a.replayed != nil {
+		retime(events, a.replayed)
+	}
 	return a.rt.complete(a.r, a.inc, a.worker, receipt, &TxTrace{Gas: ExecCost(receipt.GasUsed, a.intrins), Events: events})
+}
+
+// --- pre-run reuse ------------------------------------------------------------
+
+// replay stands in for the interpreter when the C-SAG's pre-run is still a
+// valid execution of this incarnation. The pre-run ran this transaction under
+// this block context at this position, so the only thing that can differ is
+// what its cross-transaction reads return: each is resolved again through
+// readItem — marking, parking, gating and logging exactly as the interpreter's
+// read would — and compared with the value the pre-run saw. If all agree, the
+// interpreter would retrace the pre-run step for step; its writes, deltas and
+// receipt are taken over instead and finish publishes them. A nil receipt
+// with a nil error sends the incarnation to the interpreter: there is no
+// usable outcome, the executor ablates part of the protocol the pre-run
+// assumed, an injected panic is waiting for a hook stop, or a read came back
+// different (the reads made so far are simply made again).
+func (a *accessor) replay() (*types.Receipt, error) {
+	var out *sag.Outcome
+	if c := a.rt.csag; c != nil {
+		out = c.Outcome
+	}
+	if !out.ValidFor(a.rt.tx, a.r.block, a.rt.idx) || a.r.opts != (Options{}) || a.panicAfter > 0 {
+		return nil, nil
+	}
+	for i := range out.Reads {
+		rd := &out.Reads[i]
+		a.offset = traceOffset(rd.Offset)
+		v, err := a.readItem(rd.Item)
+		if err != nil {
+			return nil, err
+		}
+		// A code read is the marker word (zero: nothing deployed in this
+		// block) plus the committed code itself, which an earlier block may
+		// have replaced since the analysis snapshot.
+		if !v.Eq(&rd.Val) || rd.Item.Kind == sag.KindCode && !bytes.Equal(a.snapCode(rd.Item.Addr), rd.Code) {
+			a.events = a.events[:0]
+			a.offset = 0
+			return nil, nil
+		}
+	}
+	for i := range out.Writes {
+		w := &out.Writes[i]
+		rec := &a.items[a.rec(w.Item)]
+		rec.touch, rec.hasW, rec.w = touchWritten, true, w.Val
+		if w.Item.Kind == sag.KindCode {
+			rec.hasCode, rec.code = true, w.Code
+			a.r.storeCode(w.Code)
+		}
+	}
+	for i := range out.Deltas {
+		d := &out.Deltas[i]
+		rec := &a.items[a.rec(d.Item)]
+		rec.touch, rec.hasPending, rec.pending = touchDelta, true, d.Val
+	}
+	a.replayed = out
+	receipt := *out.Receipt // the outcome is shared; the caller owns its receipt
+	return &receipt, nil
+}
+
+// traceOffset converts a pre-run gas offset into TraceEvent units the way
+// Step does: accesses made before the top frame starts sit at 0, the rest
+// BaseCost later.
+func traceOffset(gas uint64) uint64 {
+	if gas == 0 {
+		return 0
+	}
+	return BaseCost + gas
+}
+
+// retime gives the publish events of a replayed incarnation, all made at
+// finish, the offsets at which the pre-run last wrote each item, and puts the
+// trace back in offset order: the trace keeps modelling an interpreter run
+// whose writes become visible as soon as they are final.
+func retime(events []TraceEvent, out *sag.Outcome) {
+	offsetIn := func(list []sag.Access, id sag.ItemID, otherwise uint64) uint64 {
+		for i := range list {
+			if list[i].Item == id {
+				return traceOffset(list[i].Offset)
+			}
+		}
+		return otherwise
+	}
+	for i := range events {
+		switch ev := &events[i]; ev.Kind {
+		case TraceWrite:
+			ev.Offset = offsetIn(out.Writes, ev.Item, ev.Offset)
+		case TraceDelta:
+			ev.Offset = offsetIn(out.Deltas, ev.Item, ev.Offset)
+		}
+	}
+	slices.SortStableFunc(events, func(a, b TraceEvent) int { return cmp.Compare(a.Offset, b.Offset) })
 }
 
 // itemLess orders ItemIDs (kind, address, slot) for deterministic iteration.

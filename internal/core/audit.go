@@ -21,8 +21,10 @@ func auditPredictions(n int, csags []*sag.CSAG) []telemetry.TxPrediction {
 		preds[i].Reads = c.ReadSet()
 		preds[i].Writes = c.WriteSet()
 		preds[i].Deltas = c.DeltaSet()
-		preds[i].GasUsed = c.PredictedGasUsed
-		preds[i].Status = c.PredictedStatus.String()
+		if out := c.Outcome; out != nil {
+			preds[i].GasUsed = out.Receipt.GasUsed
+			preds[i].Status = out.Receipt.Status.String()
+		}
 	}
 	return preds
 }

@@ -36,6 +36,10 @@ type Stats struct {
 	// Executions counts incarnations started (n transactions = n when no
 	// aborts happen).
 	Executions int64
+	// Replays counts the incarnations among Executions that committed their
+	// C-SAG's pre-run outcome instead of running the interpreter: every
+	// cross-transaction read still returned what the pre-run had seen.
+	Replays int64
 	// Aborts counts non-deterministic aborts (stale reads, cascades).
 	Aborts int64
 	// EarlyPublishes counts writes made visible at release points.
@@ -72,6 +76,7 @@ type Stats struct {
 // prefix accumulate across blocks.
 func (s Stats) RecordMetrics(r *telemetry.Registry) {
 	r.Counter("core.executions").Add(s.Executions)
+	r.Counter("core.replays").Add(s.Replays)
 	r.Counter("core.aborts").Add(s.Aborts)
 	r.Counter("core.early_publishes").Add(s.EarlyPublishes)
 	r.Counter("core.delta_publishes").Add(s.DeltaPublishes)
@@ -94,6 +99,7 @@ var _ telemetry.Source = Stats{}
 
 type statCounters struct {
 	executions      atomic.Int64
+	replays         atomic.Int64
 	aborts          atomic.Int64
 	early           atomic.Int64
 	delta           atomic.Int64
@@ -123,6 +129,7 @@ func (s *statCounters) noteIncarnation(inc int) {
 func (s *statCounters) snapshot() Stats {
 	return Stats{
 		Executions:      s.executions.Load(),
+		Replays:         s.replays.Load(),
 		Aborts:          s.aborts.Load(),
 		EarlyPublishes:  s.early.Load(),
 		DeltaPublishes:  s.delta.Load(),
@@ -679,7 +686,12 @@ func (r *run) runIncarnation(rt *txRuntime, worker int) {
 	acc.worker = worker
 	acc.snapCache = r.workerCacheFor(worker)
 
-	receipt, err := evm.ApplyTransaction(acc, r.block, rt.tx, rt.idx, acc)
+	receipt, err := acc.replay()
+	if receipt != nil {
+		r.stats.replays.Add(1)
+	} else if err == nil {
+		receipt, err = evm.ApplyTransaction(acc, r.block, rt.tx, rt.idx, acc)
+	}
 	if err != nil {
 		if errors.Is(err, evm.ErrAborted) {
 			// Work thrown away with this incarnation: the partial gas consumed

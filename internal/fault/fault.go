@@ -392,7 +392,7 @@ func CorruptCSAGs(in *Injector, block int64, csags []*sag.CSAG) []*sag.CSAG {
 			copy(out, csags)
 			copied = true
 		}
-		cc := *c
+		cc := c.WithoutOutcome() // the pre-run's outcome belongs to the graph as analysed
 		if dropR {
 			cc.Reads = make(map[sag.ItemID]struct{}, len(c.Reads))
 			for id := range c.Reads {
@@ -417,7 +417,7 @@ func CorruptCSAGs(in *Injector, block int64, csags []*sag.CSAG) []*sag.CSAG {
 				}
 			}
 		}
-		out[i] = &cc
+		out[i] = cc
 	}
 	return out
 }

@@ -194,9 +194,15 @@ func TestCorruptCSAGsDeterministicAndNonMutating(t *testing.T) {
 		CSAGDropDelta: 1.0,
 	}}
 	orig := mk()
+	orig[0].Outcome = &sag.Outcome{}
 	out := CorruptCSAGs(New(cfg), 3, orig)
 	if &out[0] == &orig[0] {
 		t.Fatal("corruption returned the input slice")
+	}
+	// An altered graph is no longer what the pre-run produced: it must not
+	// carry the pre-run's outcome into the executor (the caller's keeps it).
+	if out[0].Outcome != nil || orig[0].Outcome == nil {
+		t.Fatal("corrupted copy kept the pre-run outcome, or the input lost it")
 	}
 	if out[1] != nil {
 		t.Fatal("nil C-SAG materialized")

@@ -99,6 +99,7 @@ func ReadCapture(path string) (*Capture, error) {
 func DeterministicStats(s core.Stats) core.Stats {
 	return core.Stats{
 		Executions:     s.Executions,
+		Replays:        s.Replays,
 		Aborts:         s.Aborts,
 		EarlyPublishes: s.EarlyPublishes,
 		DeltaPublishes: s.DeltaPublishes,

@@ -149,7 +149,8 @@ type recItem struct {
 	read       bool
 	hasVal     bool // val (code, for code items) shadows the snapshot
 	hasPending bool
-	events     int // write events so far
+	events     int    // write events so far
+	at         uint64 // recorder.gas at the last of them
 
 	val     u256.Int
 	pending u256.Int // accumulated delta of a delta-mode item
@@ -198,6 +199,13 @@ type recorder struct {
 	journal []recUndo
 	snaps   []int
 
+	// reads are the outcome's read observations so far, and gas the gas the
+	// top frame has consumed as of the last hook stop (every state access of
+	// a registered contract is one), from its starting gas topGas.
+	reads  []Access
+	topGas uint64
+	gas    uint64
+
 	// comm-site arming, set by the step hook for the next Get/SetState.
 	armDelta bool
 	armStore bool
@@ -224,10 +232,7 @@ func (r *recorder) analyze(tx *types.Transaction, idx int, block evm.BlockContex
 	if err != nil {
 		return nil, fmt.Errorf("sag: analysis pre-run of tx %d: %w", idx, err)
 	}
-	csag := r.finish(idx)
-	csag.PredictedStatus = receipt.Status
-	csag.PredictedGasUsed = receipt.GasUsed
-	return csag, nil
+	return r.finish(tx, idx, block, receipt), nil
 }
 
 func (r *recorder) reset() {
@@ -237,6 +242,9 @@ func (r *recorder) reset() {
 	clear(r.journal)
 	r.journal = r.journal[:0]
 	r.snaps = r.snaps[:0]
+	clear(r.reads)
+	r.reads = r.reads[:0]
+	r.topGas, r.gas = 0, 0
 	r.armDelta, r.armStore, r.deltaPendingOK = false, false, false
 	r.memo = Memo{}
 }
@@ -250,9 +258,15 @@ func (r *recorder) Watch(addr types.Address) []byte {
 	return nil
 }
 
-// Step implements evm.Hooks: it arms delta mode when execution reaches a
-// commutative site.
+// Step implements evm.Hooks: it keeps the top frame's gas offset and arms
+// delta mode when execution reaches a commutative site.
 func (r *recorder) Step(addr types.Address, depth int, pc uint64, op evm.Opcode, gas uint64) error {
+	if depth == 1 {
+		if pc == 0 {
+			r.topGas = gas
+		}
+		r.gas = r.topGas - gas
+	}
 	if op != evm.SLOAD && op != evm.SSTORE {
 		return nil
 	}
@@ -324,12 +338,27 @@ func (r *recorder) dropPending(i int) {
 	it.hasPending, it.pending = false, u256.Int{}
 }
 
-// recordRead notes a cross-transaction read dependency on item i.
-func (r *recorder) recordRead(i int) {
-	r.items[i].read = true
-	if r.items[i].touch == touchNone {
-		r.setTouch(i, touchRead)
+// recordRead notes a cross-transaction read dependency on item i (touch
+// state touchNone). The first such read of an item is the one whose value the
+// transaction acts on — the DMVCC accessor memoizes it the same way — so it is
+// the one the outcome keeps.
+func (r *recorder) recordRead(i int, v u256.Int, code []byte) {
+	if !r.items[i].read {
+		r.items[i].read = true
+		r.observe(i, v, code)
 	}
+	r.setTouch(i, touchRead)
+}
+
+// observe appends a read of item i to the outcome.
+func (r *recorder) observe(i int, v u256.Int, code []byte) {
+	r.reads = append(r.reads, Access{Item: r.items[i].id, Val: v, Code: code, Offset: r.gas})
+}
+
+// wrote counts a write event on item i.
+func (r *recorder) wrote(i int) {
+	r.items[i].events++
+	r.items[i].at = r.gas
 }
 
 // snapValue reads an item's value from the snapshot (never the buffer).
@@ -365,6 +394,7 @@ func (r *recorder) degradeRead(i int) u256.Int {
 	r.dropPending(i)
 	r.setTouch(i, touchWritten)
 	r.items[i].read = true
+	r.observe(i, base, nil)
 	r.setVal(i, val, nil)
 	return val
 }
@@ -376,7 +406,9 @@ func (r *recorder) read(id ItemID) u256.Int {
 	case touchDelta:
 		return r.degradeRead(i)
 	case touchNone:
-		r.recordRead(i)
+		v := r.snapValue(id)
+		r.recordRead(i, v, nil)
+		return v
 	}
 	return r.value(i)
 }
@@ -389,7 +421,7 @@ func (r *recorder) write(id ItemID, v u256.Int, code []byte) {
 	}
 	r.setTouch(i, touchWritten)
 	r.setVal(i, v, code)
-	r.items[i].events++
+	r.wrote(i)
 }
 
 // GetState implements evm.State.
@@ -421,7 +453,7 @@ func (r *recorder) SetState(addr types.Address, key types.Hash, v u256.Int) erro
 			// Base was zero, so the stored value is the delta contribution.
 			i := r.rec(id)
 			r.addPending(i, &v)
-			r.items[i].events++
+			r.wrote(i)
 			return nil
 		}
 	}
@@ -450,12 +482,15 @@ func (r *recorder) AddBalance(addr types.Address, delta u256.Int) error {
 		}
 		r.addPending(i, &delta)
 	} else {
+		// The credit lands on a value the transaction has seen, so from here
+		// on the item is an absolute write.
 		cur := r.value(i)
 		var next u256.Int
 		next.Add(&cur, &delta)
+		r.setTouch(i, touchWritten)
 		r.setVal(i, next, nil)
 	}
-	r.items[i].events++
+	r.wrote(i)
 	return nil
 }
 
@@ -474,18 +509,19 @@ func (r *recorder) SetNonce(addr types.Address, v uint64) error {
 // GetCode implements evm.State.
 func (r *recorder) GetCode(addr types.Address) ([]byte, error) {
 	i := r.rec(CodeItem(addr))
-	if r.items[i].touch == touchNone {
-		r.recordRead(i)
-	}
 	if it := &r.items[i]; it.hasVal {
 		return it.code, nil
 	}
-	return r.snap.Code(addr), nil
+	code := r.snap.Code(addr)
+	if r.items[i].touch == touchNone {
+		r.recordRead(i, u256.Int{}, code)
+	}
+	return code, nil
 }
 
 // SetCode implements evm.State.
 func (r *recorder) SetCode(addr types.Address, code []byte) error {
-	r.write(CodeItem(addr), u256.Int{}, code)
+	r.write(CodeItem(addr), types.Keccak(code).Word(), code)
 	return nil
 }
 
@@ -515,11 +551,11 @@ func (r *recorder) RevertToSnapshot(rev int) {
 	r.snaps = r.snaps[:rev]
 }
 
-// finish assembles the C-SAG from the recorded classification. The maps are
-// the C-SAG's own, sized exactly: the recorder moves on to another
-// transaction.
-func (r *recorder) finish(idx int) *CSAG {
-	var reads, writes, deltas int
+// finish assembles the C-SAG and the pre-run's outcome from the recorded
+// classification. The maps and slices are the C-SAG's own, sized exactly: the
+// recorder moves on to another transaction.
+func (r *recorder) finish(tx *types.Transaction, idx int, block evm.BlockContext, receipt *types.Receipt) *CSAG {
+	var reads, writes, deltas, pending int
 	for i := range r.items {
 		it := &r.items[i]
 		if it.read {
@@ -530,13 +566,29 @@ func (r *recorder) finish(idx int) *CSAG {
 			writes++
 		case touchDelta:
 			deltas++
+			if it.hasPending {
+				pending++
+			}
 		}
+	}
+	// One backing array for the three access lists.
+	nr := len(r.reads)
+	buf := append(make([]Access, 0, nr+writes+pending), r.reads...)
+	out := &Outcome{
+		Tx:      tx,
+		Block:   block,
+		TxIndex: idx,
+		Receipt: receipt,
+		Reads:   buf[:nr:nr],
+		Writes:  buf[nr : nr : nr+writes],
+		Deltas:  buf[nr+writes : nr+writes : nr+writes+pending],
 	}
 	c := &CSAG{
 		TxIndex: idx,
 		Reads:   make(map[ItemID]struct{}, reads),
 		Writes:  make(map[ItemID]int, writes),
 		Deltas:  make(map[ItemID]int, deltas),
+		Outcome: out,
 	}
 	for i := range r.items {
 		it := &r.items[i]
@@ -546,8 +598,12 @@ func (r *recorder) finish(idx int) *CSAG {
 		switch it.touch {
 		case touchWritten:
 			c.Writes[it.id] = it.events
+			out.Writes = append(out.Writes, Access{Item: it.id, Val: it.val, Code: it.code, Offset: it.at})
 		case touchDelta:
 			c.Deltas[it.id] = it.events
+			if it.hasPending {
+				out.Deltas = append(out.Deltas, Access{Item: it.id, Val: it.pending, Offset: it.at})
+			}
 		}
 	}
 	return c

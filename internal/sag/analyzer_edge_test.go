@@ -67,8 +67,8 @@ func TestPayableDepositDeltas(t *testing.T) {
 	if _, ok := c.Deltas[sag.BalanceItem(bankAddr)]; !ok {
 		t.Errorf("contract balance credit should be a delta: %s", c)
 	}
-	if c.PredictedStatus != types.StatusSuccess {
-		t.Errorf("status %s", c.PredictedStatus)
+	if c.Outcome.Receipt.Status != types.StatusSuccess {
+		t.Errorf("status %s", c.Outcome.Receipt.Status)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestValueTransferIntoDeltaThenRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PredictedStatus != types.StatusSuccess {
-		t.Fatalf("probe failed: %s", c.PredictedStatus)
+	if c.Outcome.Receipt.Status != types.StatusSuccess {
+		t.Fatalf("probe failed: %s", c.Outcome.Receipt.Status)
 	}
 	if !c.ReadsItem(sag.BalanceItem(bankAddr)) {
 		t.Error("balance probe must read the bank balance")

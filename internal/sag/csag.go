@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"dmvcc/internal/evm"
 	"dmvcc/internal/types"
+	"dmvcc/internal/u256"
 )
 
 // CSAG is the complete state access graph of one transaction: the P-SAG
@@ -26,10 +28,65 @@ type CSAG struct {
 	Writes map[ItemID]int
 	Deltas map[ItemID]int
 
-	// PredictedStatus and PredictedGasUsed are the outcome of the
-	// analysis pre-run against the snapshot (advisory only).
-	PredictedStatus  types.ReceiptStatus
-	PredictedGasUsed uint64
+	// Outcome is what the analysis pre-run computed, or nil when the C-SAG
+	// did not come out of a pre-run (hand-built, or an altered copy).
+	Outcome *Outcome
+}
+
+// Outcome is the result of the pre-run a C-SAG was refined by: the values its
+// cross-transaction reads observed, the state it would commit and its
+// receipt. EVM execution is a deterministic function of the transaction, the
+// block context, the block position and the values those reads return, so an
+// executor that resolves Reads to the same values under the same context may
+// commit Writes, Deltas and Receipt without running the transaction again. An
+// Outcome is immutable once built: a cached C-SAG is executed many times.
+type Outcome struct {
+	// Tx, Block and TxIndex are what the pre-run ran: the outcome says
+	// nothing about another transaction, environment or position.
+	Tx      *types.Transaction
+	Block   evm.BlockContext
+	TxIndex int
+
+	Receipt *types.Receipt
+
+	// Reads are the reads that left the transaction's own write buffer, in
+	// execution order (an item degraded from delta mode appears at the read
+	// that degraded it). Writes and Deltas are the final absolute values and
+	// accumulated increments, in first-touch order.
+	Reads  []Access
+	Writes []Access
+	Deltas []Access
+}
+
+// Access is one entry of an Outcome.
+type Access struct {
+	Item ItemID
+	// Val is the value read, the final value written, or the summed
+	// increment. For a code item it is what the DMVCC accessor keeps there:
+	// zero for code read from the snapshot, the code hash for code installed.
+	Val u256.Int
+	// Code is the code read or installed (code items only).
+	Code []byte
+	// Offset is the gas consumed (core.TraceEvent units) when the pre-run
+	// made the read, or last wrote the item.
+	Offset uint64
+}
+
+// ValidFor reports whether the outcome was computed for exactly this
+// transaction, block context and block position. A pool analyses under the
+// context it expects the next block to carry, at position 0; the block the
+// transaction is packed into need not match.
+func (o *Outcome) ValidFor(tx *types.Transaction, block evm.BlockContext, idx int) bool {
+	return o != nil && o.Tx == tx && o.TxIndex == idx && o.Block == block
+}
+
+// WithoutOutcome returns a shallow copy of the C-SAG that carries the same
+// predictions but not the pre-run's outcome: what an altered graph must be,
+// and how tests make every incarnation run the interpreter.
+func (c *CSAG) WithoutOutcome() *CSAG {
+	cc := *c
+	cc.Outcome = nil
+	return &cc
 }
 
 // NewCSAG returns an empty C-SAG for the given transaction index.

@@ -88,8 +88,8 @@ func TestTransferCSAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PredictedStatus != types.StatusSuccess {
-		t.Fatalf("predicted status %s", c.PredictedStatus)
+	if c.Outcome.Receipt.Status != types.StatusSuccess {
+		t.Fatalf("predicted status %s", c.Outcome.Receipt.Status)
 	}
 	slotAlice := sag.StorageItem(tokenAdr, minisol.MappingSlot(compiled.Slots["balances"], alice.Word()))
 	slotBob := sag.StorageItem(tokenAdr, minisol.MappingSlot(compiled.Slots["balances"], bob.Word()))
@@ -134,8 +134,8 @@ func TestSelfTransferDegradesDelta(t *testing.T) {
 		t.Error("self-transfer slot should be an absolute write")
 	}
 	// Semantics preserved: balance unchanged.
-	if c.PredictedStatus != types.StatusSuccess {
-		t.Errorf("status = %s", c.PredictedStatus)
+	if c.Outcome.Receipt.Status != types.StatusSuccess {
+		t.Errorf("status = %s", c.Outcome.Receipt.Status)
 	}
 }
 
@@ -239,8 +239,8 @@ func TestRevertedTxStillAnalyzed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.PredictedStatus != types.StatusReverted {
-		t.Errorf("predicted status %s, want reverted", c.PredictedStatus)
+	if c.Outcome.Receipt.Status != types.StatusReverted {
+		t.Errorf("predicted status %s, want reverted", c.Outcome.Receipt.Status)
 	}
 	// The failed require still read bob's slot.
 	found := false

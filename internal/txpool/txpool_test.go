@@ -1,6 +1,7 @@
 package txpool_test
 
 import (
+	"reflect"
 	"testing"
 
 	"dmvcc/internal/baseline"
@@ -205,6 +206,65 @@ func TestPrepareBlockMixedProvenance(t *testing.T) {
 	}
 	if root != want {
 		t.Errorf("pool-prepared block diverged: %s != %s", root, want)
+	}
+}
+
+// TestPooledOutcomeNeedsItsContext: the pool analyses a transaction when it
+// arrives, at position 0 under the block context it expects next. Packed
+// somewhere else in a block with another coinbase, number and timestamp, the
+// pre-run's outcome is not an execution of that block's transaction — the fee
+// would go to the wrong coinbase and the receipt would carry the wrong index
+// — so the executor runs the interpreter, and the block matches serial.
+func TestPooledOutcomeNeedsItsContext(t *testing.T) {
+	expected := evm.BlockContext{Number: 2, Timestamp: 100, GasLimit: 1_000_000_000, ChainID: 1} // setup's
+	packed := expected
+	packed.Coinbase = types.HexToAddress("0xfee0000000000000000000000000000000000002")
+	packed.Number, packed.Timestamp = expected.Number+1, expected.Timestamp+12
+
+	for _, tc := range []struct {
+		name    string
+		ctx     evm.BlockContext
+		replays int64 // the context matches for all or none, the position only for tx 0
+	}{{"another-block", packed, 0}, {"expected-block", expected, 1}} {
+		db, reg, pool := setup(t)
+		for _, tx := range []*types.Transaction{transferTx(0, alice, bob, 100), transferTx(0, bob, alice, 30)} {
+			tx.GasPrice = u256.NewUint64(2)
+			if err := pool.Add(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		txs, csags := pool.PackForBlock(tc.ctx, 2)
+		for i, c := range csags {
+			if c == nil || c.Outcome == nil {
+				t.Fatalf("%s: tx %d packed without its analysis", tc.name, i)
+			}
+		}
+		res, err := core.NewExecutor(reg, 2).ExecuteBlock(db, tc.ctx, txs, csags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Replays != tc.replays {
+			t.Errorf("%s: %d incarnations committed a pooled outcome, want %d", tc.name, res.Stats.Replays, tc.replays)
+		}
+		root, err := db.Commit(res.WriteSet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _, _ := setup(t)
+		serial, err := baseline.ExecuteSerial(twin, tc.ctx, txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Commit(serial.WriteSet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if root != want {
+			t.Errorf("%s: root %s, serial %s", tc.name, root, want)
+		}
+		if !reflect.DeepEqual(res.Receipts, serial.Receipts) {
+			t.Errorf("%s: receipts differ from serial's", tc.name)
+		}
 	}
 }
 
